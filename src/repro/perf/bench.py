@@ -5,11 +5,9 @@ Three measurements, written to ``BENCH_sim.json`` in a stable schema
 
 1. **Event-loop throughput** (events/sec): a synthetic event mix — future
    timers, timer churn with cancellation, zero-delay hand-off chains — run
-   on the current :class:`repro.sim.engine.Simulator` and on
-   :class:`_LegacySimulator`, a faithful copy of the engine as it stood
-   before the hot-path work (object heap, helper-per-pop, no fast lane).
-   The ratio is the engine speedup, measured on the same machine in the
-   same process.
+   on :class:`repro.sim.engine.Simulator`.  Events/sec is a diagnostic;
+   end-to-end host time per simulated second is measured by
+   ``perfbench/run.py``.
 2. **End-to-end run wall-clock**: one representative Figure-9-style cell
    (accounting config, SYN flood) through the full snapshot driver.
 3. **Sweep wall-clock** at 1/2/4 workers on a small Figure-9 grid, giving
@@ -22,105 +20,15 @@ repetitions only de-noise the clock, never the workload.
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 import platform
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict
 
 from repro.sim.engine import Simulator
 
 SCHEMA = "escort-bench/1"
-
-
-# ----------------------------------------------------------------------
-# The pre-optimization engine, kept verbatim as the comparison baseline
-# ----------------------------------------------------------------------
-class _LegacyEvent:
-    __slots__ = ("time", "seq", "fn", "cancelled", "sim")
-
-    def __init__(self, time, seq, fn, sim=None):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.cancelled = False
-        self.sim = sim
-
-    def cancel(self):
-        if self.cancelled:
-            return
-        self.cancelled = True
-        self.fn = None
-        if self.sim is not None:
-            self.sim._note_cancel()
-
-    def __lt__(self, other):
-        return (self.time, self.seq) < (other.time, other.seq)
-
-
-class _LegacySimulator:
-    """The event loop as shipped before this PR (baseline for speedup)."""
-
-    COMPACT_MIN_QUEUE = 64
-
-    def __init__(self):
-        self.now = 0
-        self._queue: List[_LegacyEvent] = []
-        self._seq = 0
-        self._events_processed = 0
-        self._cancelled_pending = 0
-        self.compactions = 0
-
-    def schedule(self, delay, fn):
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        return self.at(self.now + delay, fn)
-
-    def at(self, time_, fn):
-        if time_ < self.now:
-            raise ValueError(f"cannot schedule in the past: {time_} < {self.now}")
-        self._seq += 1
-        ev = _LegacyEvent(time_, self._seq, fn, sim=self)
-        heapq.heappush(self._queue, ev)
-        return ev
-
-    def _note_cancel(self):
-        self._cancelled_pending += 1
-        if (self._cancelled_pending * 2 > len(self._queue)
-                and len(self._queue) >= self.COMPACT_MIN_QUEUE):
-            self._compact()
-
-    def _compact(self):
-        self._queue = [ev for ev in self._queue if not ev.cancelled]
-        heapq.heapify(self._queue)
-        self._cancelled_pending = 0
-        self.compactions += 1
-
-    def _pop_cancelled(self):
-        heapq.heappop(self._queue)
-        if self._cancelled_pending > 0:
-            self._cancelled_pending -= 1
-
-    def step(self):
-        while self._queue:
-            if self._queue[0].cancelled:
-                self._pop_cancelled()
-                continue
-            ev = heapq.heappop(self._queue)
-            self.now = ev.time
-            self._events_processed += 1
-            ev.fn()
-            return True
-        return False
-
-    def run(self):
-        while self.step():
-            pass
-
-    @property
-    def events_processed(self):
-        return self._events_processed
 
 
 # ----------------------------------------------------------------------
@@ -159,28 +67,20 @@ def _best_of(fn: Callable[[], float], reps: int) -> float:
 
 
 def bench_event_loop(n_rounds: int = 20_000, reps: int = 3) -> Dict:
-    """Current vs legacy engine on the same synthetic mix."""
-    def time_engine(make_sim):
-        def once() -> float:
-            sim = make_sim()
-            t0 = time.perf_counter()
-            _drive_event_mix(sim, n_rounds)
-            return time.perf_counter() - t0
-        return once
+    """The engine on the synthetic mix."""
+    events = [0]
 
-    current_s = _best_of(time_engine(Simulator), reps)
-    legacy_s = _best_of(time_engine(_LegacySimulator), reps)
-    # Event counts are identical by construction; take one for the rate.
-    events = _drive_event_mix(Simulator(), n_rounds)
-    current_eps = events / current_s
-    legacy_eps = events / legacy_s
+    def once() -> float:
+        sim = Simulator()
+        t0 = time.perf_counter()
+        events[0] = _drive_event_mix(sim, n_rounds)
+        return time.perf_counter() - t0
+
+    wall = _best_of(once, reps)
     return {
-        "events": events,
-        "wall_s": round(current_s, 4),
-        "events_per_sec": round(current_eps),
-        "legacy_wall_s": round(legacy_s, 4),
-        "legacy_events_per_sec": round(legacy_eps),
-        "speedup_vs_legacy": round(current_eps / legacy_eps, 3),
+        "events": events[0],
+        "wall_s": round(wall, 4),
+        "events_per_sec": round(events[0] / wall),
     }
 
 
@@ -207,10 +107,6 @@ def bench_end_to_end(clients: int = 8, syn_rate: int = 1000,
         dt = time.perf_counter() - t0
         stats["events"] = driver.sim.events_processed
         stats["queue_health"] = driver.sim.queue_health()
-        attacker = getattr(run.bed, "syn_attacker", None)
-        pool = getattr(attacker, "pool", None)
-        if pool is not None:
-            stats["freelist"] = pool.stats()
         return dt
 
     wall = _best_of(once, reps)
@@ -222,7 +118,6 @@ def bench_end_to_end(clients: int = 8, syn_rate: int = 1000,
         "events": stats["events"],
         "events_per_sec": round(stats["events"] / wall),
         "queue_health": stats["queue_health"],
-        "freelist": stats.get("freelist"),
     }
 
 
@@ -428,8 +323,7 @@ def format_report(report: Dict) -> str:
              f"python {report['host']['python']})"]
     ev = report["event_loop"]
     lines.append(f"  event loop    {ev['events_per_sec']:>12,} ev/s   "
-                 f"({ev['speedup_vs_legacy']:.2f}x vs pre-PR engine at "
-                 f"{ev['legacy_events_per_sec']:,} ev/s)")
+                 f"({ev['events']:,} events)")
     e2e = report["end_to_end"]
     lines.append(f"  end-to-end    {e2e['wall_s']:>10.3f} s     "
                  f"({e2e['events']:,} events, "
@@ -443,11 +337,6 @@ def format_report(report: Dict) -> str:
                      f"digests {match})")
     micro = report.get("microbench")
     if micro:
-        churn = micro["timer_churn"]
-        lines.append(f"  timer churn   {churn['wheel_ops_per_sec']:>12,} op/s  "
-                     f"({churn['wheel_speedup']:.2f}x vs heap at "
-                     f"{churn['heap_ops_per_sec']:,} op/s, "
-                     f"{churn['cancelled_fraction']:.0%} cancelled)")
         demux = micro["demux"]
         lines.append(f"  demux         {demux['classifications_per_sec']:>12,} cls/s  "
                      f"({demux['modules_consulted']} modules per packet)")

@@ -27,6 +27,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.snapshot.checkpoint import write_atomic
+
 CORPUS_FORMAT = "ESCORP-1"
 
 
@@ -48,12 +50,9 @@ def save_entry(corpus_dir: str, name: str, *, target: str, case: Dict,
     payload = {"format": CORPUS_FORMAT, "name": name, "target": target,
                "case": case, "spec": spec, "expected": expected,
                "provenance": provenance or {}}
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     path = os.path.join(corpus_dir, f"{name}.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_atomic(path, text.encode())
     return path
 
 

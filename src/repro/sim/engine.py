@@ -14,48 +14,24 @@ callbacks' closures.  Ties in time are broken by insertion order, which
 keeps runs deterministic; the snapshot/replay subsystem
 (:mod:`repro.snapshot`) verifies that guarantee by digest comparison.
 
-Performance notes (this is the hottest loop in the repository — every
-simulated run funnels through the engine millions of times):
+Performance notes (this is the hottest loop in the repository):
 
-* The heap stores ``(time, seq, event)`` tuples, not Event objects, so
-  sift comparisons happen on C-level int tuples instead of calling a
-  Python ``__lt__`` half a million times per simulated second.
-* Zero-delay scheduling — an event scheduled *at the current tick* — is
-  the module-graph hand-off pattern, and it never needs the heap at all:
-  such events land on a same-tick FIFO *fast lane* (a deque) and are
-  popped in O(1).  Ordering is unchanged: every event already in the heap
-  for the current tick carries a smaller ``seq`` than any fast-lane entry
-  (it was scheduled earlier), so the loop drains due heap entries first
-  and then the lane in FIFO order — exactly the global ``(time, seq)``
-  order.  The lane is provably empty whenever the clock advances.
-* Timer-class events — delays of at least :data:`~repro.sim.wheel.
-  MIN_WHEEL_DELAY`, the retransmit/softclock/health-probe band — go to a
-  hierarchical timing wheel (:mod:`repro.sim.wheel`) instead of the heap:
-  O(1) to schedule, and O(1) to cancel because a cancelled timer's slot is
-  simply dropped when the clock sweeps past, with no heap sift and no
-  compaction debt.  The wheel *pours* due slots into the heap before the
-  loop trusts the heap's head, so execution order stays exactly global
-  ``(time, seq)`` order.
-* ``step``/``step_until`` fuse the old ``_pop_cancelled`` helper into the
-  loop body and bind the queue/lane to locals; ``run(until)`` carries its
-  own fused copy of the loop so steady-state runs do not pay a Python
-  call per event.
-* Fast-lane events fire and die within one tick, and nothing may retain a
-  handle to one past its firing (their only use is the hand-off pattern),
-  so their Event shells are recycled through a small free list.  Heap and
-  wheel events are never recycled: user code holds those handles to
-  cancel retransmit timers, sometimes after they fired.
-
-None of this is observable: ``seq``, ``events_processed``, ``now`` and
-``live_events()`` — everything the replay fingerprints and state digests
-read — are byte-identical with the fast lane, the timer wheel, and the
-event pool on or off (the ``fast_lane`` / ``timer_wheel`` / ``event_pool``
-constructor flags exist so tests can prove that).
+* The heap stores ``(time, seq, event)`` tuples, so sift comparisons run
+  on C-level int tuples instead of a Python ``__lt__``.
+* An event scheduled *at the current tick* — the module-graph hand-off
+  pattern — skips the heap: it lands on a same-tick FIFO *fast lane* and
+  pops in O(1).  Every due heap entry carries a smaller ``seq`` than any
+  lane entry, so the loop drains those first and then the lane, which is
+  exactly global ``(time, seq)`` order.  ``fast_lane=False`` routes
+  everything through the heap; execution order, ``seq``,
+  ``events_processed`` and ``live_events()`` are identical either way.
+* ``run(until)`` carries its own fused copy of the loop, so steady-state
+  runs do not pay a Python call per event.
 
 The ledger is exact: every scheduled event is, at any instant, in exactly
 one of four states — executed (``events_processed``), stored live, stored
-cancelled (``cancelled_pending`` + the wheel's share), or cancelled and
-discarded (``cancelled_removed``) — so
+cancelled (``cancelled_pending``), or cancelled and discarded
+(``cancelled_removed``) — so
 ``seq == events_processed + pending() + cancelled_removed`` always holds;
 :meth:`Simulator.check_invariant` asserts it and the tier-1 suite calls it
 after full runs.
@@ -66,8 +42,6 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple
-
-from repro.sim.wheel import MIN_WHEEL_DELAY, TimerWheel
 
 #: Compaction is considered once the queue is at least this large; below
 #: it the lazy-deletion garbage is too small to matter.
@@ -81,29 +55,9 @@ COMPACT_RATIO = 0.5
 #: test (or an emergency) can A/B the whole system with one assignment.
 FAST_LANE_DEFAULT = True
 
-#: Module-wide default for the hierarchical timer wheel (same A/B pattern).
-TIMER_WHEEL_DEFAULT = True
-
-#: Module-wide default for fast-lane Event recycling (same A/B pattern).
-EVENT_POOL_DEFAULT = True
-
-#: Retained free-list size; beyond this, fired lane events are left to the
-#: garbage collector like any other object.
-EVENT_POOL_CAP = 512
-
-#: ``poured_until`` stand-in when the wheel is disabled: no event time ever
-#: reaches it, so the pour check in the loops stays a single comparison.
+#: Threshold stand-in when no progress hook is installed: no event count
+#: ever reaches it, so the per-event check stays a single comparison.
 _NEVER = 1 << 62
-
-#: Pour-ahead margin: every pour sweeps this far beyond the strictly
-#: needed target so the run loops touch the wheel once per ~margin of
-#: simulated time instead of once per pop.  Pouring early is harmless —
-#: entries keep their ``(time, seq)`` heap keys, so order is unchanged —
-#: but the margin must stay *below* ``MIN_WHEEL_DELAY``: a freshly
-#: scheduled wheel-band timer lands at ``now + MIN_WHEEL_DELAY`` at the
-#: earliest, which this bound keeps ahead of ``poured_until`` so new
-#: timers are never demoted to the heap by their own routing check.
-POUR_AHEAD = MIN_WHEEL_DELAY >> 1
 
 
 class Event:
@@ -113,8 +67,7 @@ class Event:
     code only ever needs :meth:`cancel` and :attr:`time`.
     """
 
-    __slots__ = ("time", "seq", "fn", "cancelled", "fired", "in_wheel",
-                 "sim")
+    __slots__ = ("time", "seq", "fn", "cancelled", "fired", "sim")
 
     def __init__(self, time: int, seq: int, fn: Callable[[], None],
                  sim: Optional["Simulator"] = None):
@@ -123,7 +76,6 @@ class Event:
         self.fn = fn
         self.cancelled = False
         self.fired = False
-        self.in_wheel = False
         self.sim = sim
 
     def cancel(self) -> None:
@@ -143,7 +95,7 @@ class Event:
         self.cancelled = True
         self.fn = None
         if self.sim is not None:
-            self.sim._note_cancel(self)
+            self.sim._note_cancel()
 
     def __lt__(self, other: "Event") -> bool:
         # The heap itself compares (time, seq, event) tuples and never
@@ -175,21 +127,11 @@ class Simulator:
         Enable the same-tick FIFO bypass (default: the module-level
         :data:`FAST_LANE_DEFAULT`).  Execution order is identical either
         way; the flag exists so determinism tests can prove it.
-    timer_wheel:
-        Enable the hierarchical timing wheel for timer-class delays
-        (default :data:`TIMER_WHEEL_DEFAULT`).  Same opacity contract.
-    event_pool:
-        Recycle fired fast-lane Event shells through a free list (default
-        :data:`EVENT_POOL_DEFAULT`).  Contract: a handle to a zero-delay
-        event must not be used after its firing tick — nothing in the
-        tree does, zero-delay events being pure hand-offs.
     """
 
     def __init__(self, *, compact_min_queue: int = COMPACT_MIN_QUEUE,
                  compact_ratio: float = COMPACT_RATIO,
-                 fast_lane: Optional[bool] = None,
-                 timer_wheel: Optional[bool] = None,
-                 event_pool: Optional[bool] = None) -> None:
+                 fast_lane: Optional[bool] = None) -> None:
         if compact_min_queue < 1:
             raise ValueError(
                 f"compact_min_queue must be positive: {compact_min_queue}")
@@ -203,32 +145,17 @@ class Simulator:
         self._lane: Deque[Event] = deque()
         self._fast_lane = (FAST_LANE_DEFAULT if fast_lane is None
                            else bool(fast_lane))
-        use_wheel = (TIMER_WHEEL_DEFAULT if timer_wheel is None
-                     else bool(timer_wheel))
-        #: Timer-class backend; ``None`` when disabled.
-        self._wheel: Optional[TimerWheel] = TimerWheel() if use_wheel \
-            else None
-        self._event_pool = (EVENT_POOL_DEFAULT if event_pool is None
-                            else bool(event_pool))
-        self._free_events: List[Event] = []
         self._seq: int = 0
         self._events_processed: int = 0
         # Cancelled events still sitting in the heap or lane (lazy debt).
         self._cancelled_pending: int = 0
-        # Cancelled events still sitting in wheel slots (separate ledger:
-        # wheel debt is slot-dropped for free and must not trigger heap
-        # compactions).
-        self._cancelled_wheel: int = 0
-        # Cancelled events already discarded (popped, poured away, or
-        # compacted out) — the closing entry of the exact ledger.
+        # Cancelled events already discarded (popped or compacted out) — the closing entry of the exact ledger.
         self._cancelled_removed: int = 0
         self.compactions: int = 0
         self.compact_min_queue = compact_min_queue
         self.compact_ratio = compact_ratio
         #: Events that bypassed the heap via the fast lane (diagnostics).
         self.fast_lane_events: int = 0
-        #: Fired lane events whose shells were reused (diagnostics).
-        self.events_recycled: int = 0
         # Progress hook: an out-of-band callback fired every N executed
         # events (see set_progress_hook).  ``_progress_at`` is the next
         # events_processed threshold; _NEVER keeps the per-event check a
@@ -288,24 +215,10 @@ class Simulator:
             # Same-tick hand-off: FIFO order IS (time, seq) order here,
             # because every lane entry shares ``time`` and ``seq`` is
             # monotonic.  No heap traffic.
-            free = self._free_events
-            if free:
-                ev = free.pop()
-                ev.time = time
-                ev.seq = seq
-                ev.fn = fn
-                ev.cancelled = False
-                ev.fired = False
-                self.events_recycled += 1
-            else:
-                ev = Event(time, seq, fn, sim=self)
+            ev = Event(time, seq, fn, sim=self)
             self._lane.append(ev)
             return ev
         ev = Event(time, seq, fn, sim=self)
-        wheel = self._wheel
-        if (wheel is not None and delay >= MIN_WHEEL_DELAY
-                and time >= wheel.poured_until and wheel.add(time, seq, ev)):
-            return ev
         heapq.heappush(self._queue, (time, seq, ev))
         return ev
 
@@ -316,37 +229,17 @@ class Simulator:
             raise ValueError(f"cannot schedule in the past: {time} < {now}")
         self._seq = seq = self._seq + 1
         if time == now and self._fast_lane:
-            free = self._free_events
-            if free:
-                ev = free.pop()
-                ev.time = time
-                ev.seq = seq
-                ev.fn = fn
-                ev.cancelled = False
-                ev.fired = False
-                self.events_recycled += 1
-            else:
-                ev = Event(time, seq, fn, sim=self)
+            ev = Event(time, seq, fn, sim=self)
             self._lane.append(ev)
             return ev
         ev = Event(time, seq, fn, sim=self)
-        wheel = self._wheel
-        if (wheel is not None and time - now >= MIN_WHEEL_DELAY
-                and time >= wheel.poured_until and wheel.add(time, seq, ev)):
-            return ev
         heapq.heappush(self._queue, (time, seq, ev))
         return ev
 
     # ------------------------------------------------------------------
     # Lazy-deletion bookkeeping
     # ------------------------------------------------------------------
-    def _note_cancel(self, ev: Event) -> None:
-        if ev.in_wheel:
-            # Wheel residents cost nothing to discard (their slot is
-            # dropped wholesale at pour time), so they neither count
-            # toward nor trigger heap compaction.
-            self._cancelled_wheel += 1
-            return
+    def _note_cancel(self) -> None:
         self._cancelled_pending += 1
         queued = len(self._queue)
         if (self._cancelled_pending > queued * self.compact_ratio
@@ -370,13 +263,6 @@ class Simulator:
         self._cancelled_removed += removed
         self.compactions += 1
 
-    def _pour(self, to_time: int) -> None:
-        """Move due wheel slots into the heap (and settle their debt)."""
-        dropped = self._wheel.advance(to_time + POUR_AHEAD, self._queue)
-        if dropped:
-            self._cancelled_wheel -= dropped
-            self._cancelled_removed += dropped
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -385,8 +271,6 @@ class Simulator:
         queue = self._queue
         lane = self._lane
         pop = heapq.heappop
-        wheel = self._wheel
-        horizon = wheel.poured_until if wheel is not None else _NEVER
         while True:
             if lane and not (queue and queue[0][0] <= self.now):
                 # Every due heap entry was scheduled before any lane entry
@@ -402,21 +286,12 @@ class Simulator:
                 self.fast_lane_events += 1
                 fn = ev.fn
                 ev.fn = None
-                free = self._free_events
-                if self._event_pool and len(free) < EVENT_POOL_CAP:
-                    free.append(ev)
                 fn()
                 if self._events_processed >= self._progress_at:
                     self._fire_progress()
                 return True
             if queue:
                 time, _seq, ev = queue[0]
-                if time >= horizon and wheel.count:
-                    # The wheel may hold earlier entries: pour everything
-                    # due up to the candidate, then re-examine the head.
-                    self._pour(time)
-                    horizon = wheel.poured_until
-                    continue
                 if ev.cancelled:
                     pop(queue)
                     self._cancelled_pending -= 1
@@ -430,10 +305,6 @@ class Simulator:
                 if self._events_processed >= self._progress_at:
                     self._fire_progress()
                 return True
-            if wheel is not None and wheel.count:
-                self._pour(wheel.min_bound())
-                horizon = wheel.poured_until
-                continue
             return False
 
     def step_until(self, until: int) -> bool:
@@ -450,8 +321,6 @@ class Simulator:
         queue = self._queue
         lane = self._lane
         pop = heapq.heappop
-        wheel = self._wheel
-        horizon = wheel.poured_until if wheel is not None else _NEVER
         while True:
             if lane and not (queue and queue[0][0] <= self.now):
                 if self.now > until:
@@ -466,9 +335,6 @@ class Simulator:
                 self.fast_lane_events += 1
                 fn = ev.fn
                 ev.fn = None
-                free = self._free_events
-                if self._event_pool and len(free) < EVENT_POOL_CAP:
-                    free.append(ev)
                 fn()
                 if self._events_processed >= self._progress_at:
                     self._fire_progress()
@@ -481,17 +347,7 @@ class Simulator:
                     self._cancelled_removed += 1
                     continue
                 if time > until:
-                    if (wheel is not None and wheel.count
-                            and horizon <= until
-                            and wheel.min_bound() <= until):
-                        self._pour(wheel.min_bound())
-                        horizon = wheel.poured_until
-                        continue
                     return False
-                if time >= horizon and wheel.count:
-                    self._pour(time)
-                    horizon = wheel.poured_until
-                    continue
                 pop(queue)
                 self.now = time
                 ev.fired = True
@@ -500,15 +356,6 @@ class Simulator:
                 if self._events_processed >= self._progress_at:
                     self._fire_progress()
                 return True
-            if (wheel is not None and wheel.count and horizon <= until
-                    and wheel.min_bound() <= until):
-                # Advance only to the wheel's own earliest bound, never
-                # blindly to ``until``: a premature sweep far past ``now``
-                # would push ``poured_until`` ahead of future timer
-                # placements and demote them all to the heap.
-                self._pour(wheel.min_bound())
-                horizon = wheel.poured_until
-                continue
             return False
 
     def finish_until(self, until: int) -> None:
@@ -533,10 +380,6 @@ class Simulator:
         queue = self._queue
         lane = self._lane
         pop = heapq.heappop
-        push_free = self._free_events.append
-        pool = self._event_pool
-        wheel = self._wheel
-        horizon = wheel.poured_until if wheel is not None else _NEVER
         while True:
             if lane and not (queue and queue[0][0] <= self.now):
                 ev = lane.popleft()
@@ -549,8 +392,6 @@ class Simulator:
                 self.fast_lane_events += 1
                 fn = ev.fn
                 ev.fn = None
-                if pool and len(self._free_events) < EVENT_POOL_CAP:
-                    push_free(ev)
                 fn()
                 if self._events_processed >= self._progress_at:
                     self._fire_progress()
@@ -563,17 +404,7 @@ class Simulator:
                     self._cancelled_removed += 1
                     continue
                 if time > until:
-                    if (wheel is not None and wheel.count
-                            and horizon <= until
-                            and wheel.min_bound() <= until):
-                        self._pour(wheel.min_bound())
-                        horizon = wheel.poured_until
-                        continue
                     break
-                if time >= horizon and wheel.count:
-                    self._pour(time)
-                    horizon = wheel.poured_until
-                    continue
                 pop(queue)
                 self.now = time
                 ev.fired = True
@@ -581,11 +412,6 @@ class Simulator:
                 ev.fn()
                 if self._events_processed >= self._progress_at:
                     self._fire_progress()
-                continue
-            if (wheel is not None and wheel.count and horizon <= until
-                    and wheel.min_bound() <= until):
-                self._pour(wheel.min_bound())
-                horizon = wheel.poured_until
                 continue
             break
         self.finish_until(until)
@@ -605,11 +431,8 @@ class Simulator:
         return self._seq
 
     def pending(self) -> int:
-        """Number of queued (possibly cancelled) events, wheel included."""
-        n = len(self._queue) + len(self._lane)
-        if self._wheel is not None:
-            n += self._wheel.count
-        return n
+        """Number of queued (possibly cancelled) events."""
+        return len(self._queue) + len(self._lane)
 
     def cancelled_pending(self) -> int:
         """Cancelled events still occupying heap or fast-lane slots."""
@@ -623,16 +446,13 @@ class Simulator:
         """Sorted ``(time, seq)`` keys of every live queued event.
 
         This is the queue's *shape* independent of its internal layout
-        (and of whether an event sits in the heap, the lane, or a wheel
-        slot), so digests built from it are stable across compactions,
-        fast-lane routing, and wheel residency.
+        (and of whether an event sits in the heap or the lane), so digests
+        built from it are stable across compactions and fast-lane routing.
         """
         keys = [(time, seq) for time, seq, ev in self._queue
                 if not ev.cancelled]
         keys.extend((ev.time, ev.seq) for ev in self._lane
                     if not ev.cancelled)
-        if self._wheel is not None:
-            keys.extend(self._wheel.live_keys())
         keys.sort()
         return keys
 
@@ -654,20 +474,13 @@ class Simulator:
 
     def queue_health(self) -> dict:
         """Engine-health counters for perf runs (see :mod:`repro.sim.trace`)."""
-        wheel = self._wheel
         return {
             "now": self.now,
             "events_processed": self._events_processed,
             "scheduled": self._seq,
             "pending": self.pending(),
             "cancelled_pending": self._cancelled_pending,
-            "cancelled_wheel": self._cancelled_wheel,
             "cancelled_removed": self._cancelled_removed,
             "compactions": self.compactions,
             "fast_lane_events": self.fast_lane_events,
-            "events_recycled": self.events_recycled,
-            "wheel_pending": wheel.count if wheel is not None else 0,
-            "wheel_scheduled": wheel.scheduled if wheel is not None else 0,
-            "wheel_poured": wheel.poured if wheel is not None else 0,
-            "wheel_cascades": wheel.cascades if wheel is not None else 0,
         }

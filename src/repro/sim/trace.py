@@ -186,14 +186,7 @@ class Tracer:
 def queue_health_line(sim: Simulator) -> str:
     """One-line engine-health summary for perf reports and benchmarks."""
     h = sim.queue_health()
-    line = (f"events={h['events_processed']} scheduled={h['scheduled']} "
+    return (f"events={h['events_processed']} scheduled={h['scheduled']} "
             f"pending={h['pending']} cancelled={h['cancelled_pending']} "
             f"compactions={h['compactions']} "
             f"fast_lane={h['fast_lane_events']}")
-    if "wheel_scheduled" in h:
-        line += (f" wheel={h['wheel_pending']}/{h['wheel_scheduled']} "
-                 f"poured={h['wheel_poured']} "
-                 f"cascades={h['wheel_cascades']}")
-    if "events_recycled" in h:
-        line += f" recycled={h['events_recycled']}"
-    return line

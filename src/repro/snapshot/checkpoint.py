@@ -22,7 +22,9 @@ file chopped at any byte (a run SIGKILLed mid-write whose partial temp
 file somehow survived, a truncated copy, a corrupted tail) is rejected
 before the gzip layer ever sees it: there is no byte prefix of a valid
 checkpoint that is itself a valid checkpoint.  Writes are crash-only:
-temp file, flush, fsync, atomic rename, directory fsync.
+temp file, flush, fsync, atomic rename, directory fsync
+(:func:`write_atomic`, shared with the supervisor's state files and the
+regression corpus).
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
     "CheckpointVersionError",
     "save_checkpoint",
     "load_checkpoint",
+    "write_atomic",
 ]
 
 
@@ -73,12 +76,8 @@ class CheckpointVersionError(CheckpointError):
 def save_checkpoint(path: str, payload: Dict) -> None:
     """Write ``payload`` as a versioned checkpoint at ``path``.
 
-    Crash-only: the bytes land in a temp file that is flushed, fsync'd
-    and atomically renamed over ``path``, and the containing directory is
-    fsync'd so the rename itself survives a power cut.  A writer killed
-    at any instant leaves either the old file or the new one, never a
-    half-written hybrid — and the trailing CRC catches the residue if a
-    partial temp file is ever mistaken for the real thing.
+    Crash-only (see :func:`write_atomic`); the trailing CRC catches the
+    residue if a partial temp file is ever mistaken for the real thing.
     """
     body = json.dumps(payload, sort_keys=True,
                       separators=(",", ":")).encode()
@@ -87,6 +86,19 @@ def save_checkpoint(path: str, payload: Dict) -> None:
     data = (MAGIC + b" " + str(FORMAT_VERSION).encode() + b"\n"
             + gzip.compress(body, mtime=0))
     data += _TRAILER_TAG + format(zlib.crc32(data), "08x").encode()
+    write_atomic(path, data)
+
+
+def write_atomic(path: str, data: bytes) -> None:
+    """Durably replace ``path`` with ``data``.
+
+    The bytes land in a temp file that is flushed, fsync'd and atomically
+    renamed over ``path``, and the containing directory is fsync'd so the
+    rename itself survives a power cut.  A writer killed at any instant
+    leaves either the old file or the new one, never a half-written
+    hybrid.  Callers serialize before calling, so a payload that fails to
+    serialize never creates the temp file.
+    """
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(data)

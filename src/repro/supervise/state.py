@@ -31,6 +31,8 @@ import json
 import os
 from typing import Dict, Optional, Tuple
 
+from repro.snapshot.checkpoint import write_atomic
+
 JOB_FILE = "job.json"
 CKPT_FILE = "run.ckpt"
 JOURNAL_FILE = "run.journal"
@@ -46,14 +48,9 @@ class JournalMismatchError(Exception):
 
 
 def write_json_atomic(path: str, payload: Dict) -> None:
-    """Crash-only JSON write: temp file + flush + fsync + atomic rename."""
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    """Crash-only JSON write through :func:`write_atomic`."""
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    write_atomic(path, text.encode())
 
 
 def read_json(path: str) -> Optional[Dict]:

@@ -7,6 +7,7 @@ cancelled callbacks' closures — with zero effect on execution order.
 
 from __future__ import annotations
 
+from repro.sim.clock import millis_to_ticks
 from repro.sim.engine import COMPACT_MIN_QUEUE, Simulator
 
 
@@ -91,3 +92,44 @@ def test_popping_cancelled_head_reduces_debt():
     assert fired == ["b"]
     assert sim.cancelled_pending() == 0
     assert sim.events_processed == 1
+
+
+def test_cancelled_fast_lane_pop_moves_debt_to_removed():
+    """Compaction accounting: a cancelled lane entry popped by the loop
+    decrements ``cancelled_pending`` (it no longer occupies a slot) and
+    increments ``cancelled_removed`` — the exact-ledger invariant holds
+    at every intermediate step."""
+    sim = Simulator(fast_lane=True)
+    fired = []
+    dead = sim.schedule(0, lambda: fired.append("dead"))
+    sim.schedule(0, lambda: fired.append("live"))
+    dead.cancel()
+    assert sim.cancelled_pending() == 1
+    sim.check_invariant()
+    sim.run()
+    assert fired == ["live"]
+    assert sim.cancelled_pending() == 0
+    assert sim.cancelled_removed() == 1
+    sim.check_invariant()
+
+
+def test_exact_ledger_under_cancel_heavy_timer_churn():
+    """The retransmit pattern: thousands of long-delay timers, nine in
+    ten cancelled before firing.  Compaction and pop-time discards
+    together settle every cancelled event exactly once."""
+    base = millis_to_ticks(3.5)
+    sim = Simulator()
+    events = [sim.schedule(base + (i % 512) * 4096, lambda: None)
+              for i in range(3_000)]
+    for i, ev in enumerate(events):
+        if i % 10:
+            ev.cancel()
+            sim.check_invariant()
+    assert sim.compactions >= 1
+    sim.run()
+    sim.check_invariant()
+    health = sim.queue_health()
+    assert health["events_processed"] == 300
+    assert health["pending"] == 0
+    assert health["cancelled_pending"] == 0
+    assert health["cancelled_removed"] == 2_700

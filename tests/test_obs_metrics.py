@@ -9,7 +9,9 @@ import pytest
 from repro.obs.export import prom_name, prom_text, write_dump
 from repro.obs.metrics import Histogram, MetricsRegistry, metric_key
 from repro.obs.recorder import SIDECAR_NAME, FlightRecorder, scan_obs
+from repro.obs.session import ObsSession
 from repro.obs.spans import Span, SpanLog
+from repro.sim.engine import Simulator
 from repro.snapshot.journal import JournalError
 
 
@@ -46,6 +48,25 @@ def test_series_dedupes_consecutive_identical_values():
     assert reg.series["sim.pending"] == [(100, 5), (300, 7)]
     assert reg.samples_taken == 3
     assert reg.last_sample_tick == 300
+
+
+def test_sim_gauges_are_the_fixed_queue_health_keys():
+    sim = Simulator()
+    sim.schedule(5, lambda: sim.schedule(0, lambda: None))
+    sim.schedule(7, lambda: None).cancel()
+    sim.run()
+    session = ObsSession()
+    session.sim = sim
+    session._sample_sim()
+    reg = session.registry
+    assert {k for k in reg.keys() if k.startswith("sim.")} == {
+        "sim.now", "sim.events_processed", "sim.scheduled", "sim.pending",
+        "sim.cancelled_pending", "sim.cancelled_removed",
+        "sim.compactions", "sim.fast_lane_events"}
+    assert reg.value("sim.events_processed") == 2
+    assert reg.value("sim.fast_lane_events") == 1
+    assert reg.value("sim.cancelled_removed") == 1
+    assert not [k for k in reg.keys() if k.startswith("net.")]
 
 
 def test_histogram_buckets_and_snapshot():
@@ -191,13 +212,13 @@ def test_scan_missing_and_empty(tmp_path):
 def test_prom_text_sanitizes_and_structures():
     reg = MetricsRegistry()
     reg.inc(metric_key("kernel", "kills_by_family", family="conn"), 3)
-    reg.gauge(metric_key("sim", "wheel-pending"), 7)
+    reg.gauge(metric_key("sim", "fast-lane-events"), 7)
     reg.observe("kernel.kill_cycles", 500, bounds=(100, 1000))
     text = prom_text(reg)
-    assert prom_name("sim.wheel-pending") == "sim_wheel_pending"
+    assert prom_name("sim.fast-lane-events") == "sim_fast_lane_events"
     assert '# TYPE kernel_kills_by_family counter' in text
     assert 'kernel_kills_by_family{family="conn"} 3' in text
-    assert "sim_wheel_pending 7" in text
+    assert "sim_fast_lane_events 7" in text
     assert 'kernel_kill_cycles_bucket{le="1000"} 1' in text
     assert 'kernel_kill_cycles_bucket{le="+Inf"} 1' in text
     assert "kernel_kill_cycles_sum 500" in text

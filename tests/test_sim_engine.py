@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.sim.clock import millis_to_ticks
 from repro.sim.engine import Simulator
 
 
@@ -112,6 +113,38 @@ def test_events_processed_counter(sim):
 
 def test_step_returns_false_when_empty(sim):
     assert sim.step() is False
+
+
+def test_cancel_after_firing_is_a_noop():
+    """A stale timer handle (cancelled after the event fired) must not
+    mutate the ledger or resurrect the callback."""
+    sim = Simulator()
+    fired = []
+    ev = sim.schedule(10, lambda: fired.append("x"))
+    sim.run()
+    assert fired == ["x"]
+    before = sim.queue_health()
+    ev.cancel()
+    ev.cancel()
+    assert not ev.cancelled
+    assert sim.queue_health() == before
+    sim.check_invariant()
+
+
+def test_live_events_covers_long_delay_heap_residents():
+    """Timer-band delays (milliseconds of simulated time), short delays
+    and same-tick hand-offs all show up in ``live_events`` and
+    ``pending``, in ``(time, seq)`` order."""
+    long_delay = millis_to_ticks(3.5)
+    sim = Simulator()
+    sim.schedule(long_delay, lambda: None)      # heap, far future
+    sim.schedule(5, lambda: None)               # heap
+    sim.schedule(0, lambda: None)               # lane
+    cancelled = sim.schedule(2 * long_delay, lambda: None)
+    cancelled.cancel()
+    assert sim.live_events() == [(0, 3), (5, 2), (long_delay, 1)]
+    assert sim.pending() == 4
+    sim.check_invariant()
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10_000),

@@ -9,16 +9,19 @@ failures on corruption or version skew.
 from __future__ import annotations
 
 import os
+import stat
 import subprocess
 import sys
 
 import pytest
 
 from repro.chaos import ChaosRun
+from repro.resilience.corpus import save_entry
 from repro.snapshot import (CheckpointError, CheckpointFormatError,
                             CheckpointVersionError,
                             ExperimentRun, RestoreMismatchError, RunDriver,
                             load_checkpoint, save_checkpoint)
+from repro.supervise.state import write_json_atomic
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -98,6 +101,56 @@ def test_save_leaves_no_temp_file(tmp_path):
     path = str(tmp_path / "x.ckpt")
     save_checkpoint(path, {"kind": "checkpoint"})
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.ckpt"]
+
+
+# ----------------------------------------------------------------------
+# Every durable writer goes through one tmp+fsync+rename+dir-fsync path
+# ----------------------------------------------------------------------
+def _write_checkpoint(directory, payload):
+    path = os.path.join(directory, "run.ckpt")
+    save_checkpoint(path, payload)
+    return path
+
+
+def _write_state_json(directory, payload):
+    path = os.path.join(directory, "result.json")
+    write_json_atomic(path, payload)
+    return path
+
+
+def _write_corpus_entry(directory, payload):
+    return save_entry(directory, "entry", target="chaos", case=payload,
+                      spec={}, expected={})
+
+
+DURABLE_WRITERS = pytest.mark.parametrize(
+    "write", [_write_checkpoint, _write_state_json, _write_corpus_entry],
+    ids=["save_checkpoint", "write_json_atomic", "save_entry"])
+
+
+@DURABLE_WRITERS
+def test_unserializable_payload_leaves_previous_file_intact(write, tmp_path):
+    directory = str(tmp_path)
+    path = write(directory, {"generation": 1})
+    before = open(path, "rb").read()
+    with pytest.raises(TypeError):
+        write(directory, {"generation": 2, "bad": object()})
+    assert open(path, "rb").read() == before
+    assert sorted(os.listdir(directory)) == [os.path.basename(path)]
+
+
+@DURABLE_WRITERS
+def test_writer_fsyncs_file_and_directory(write, tmp_path, monkeypatch):
+    synced = []
+    real_fsync = os.fsync
+
+    def spy(fd):
+        synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    write(str(tmp_path), {"generation": 1})
+    assert synced == [False, True]
 
 
 # ----------------------------------------------------------------------
