@@ -17,14 +17,10 @@ The cost of demultiplexing is central to two results in the paper:
 :meth:`Demultiplexer.classify` therefore reports both the outcome and the
 cost: modules consulted and domain switches made.
 
-Hot-path notes: demux runs once per arriving frame, so both result types
-are ``__slots__`` classes rather than dataclasses, and the two
-high-frequency result shapes are recycled — :meth:`DemuxResult.drop`
-interns one immutable instance per drop reason (flood drops produce the
-same reason string millions of times), and modules may keep a private
-CONTINUE instance alive and refresh it per packet via
-:meth:`DemuxResult.refit` (safe because ``classify`` consumes each result
-before the next demux call runs).
+Hot path: demux runs once per arriving frame.  :meth:`DemuxResult.drop`
+interns one result per reason, and modules refit a private CONTINUE or
+TO_PATH result per packet (:meth:`DemuxResult.refit`), which is safe
+because ``classify`` consumes each result before the next demux call.
 """
 
 from __future__ import annotations
@@ -149,30 +145,30 @@ class Demultiplexer:
         switches = 0
         prev_pd = None
         find = self.graph.find
-        for _ in range(self.max_hops):
+        max_hops = self.max_hops
+        while consulted < max_hops:
             consulted += 1
             pd = module.pd
-            if prev_pd is not None and pd is not prev_pd:
-                switches += 1
-            prev_pd = pd
+            if pd is not prev_pd:
+                if prev_pd is not None:
+                    switches += 1
+                prev_pd = pd
             result = module.demux(view)
             kind = result.kind
             if kind is CONTINUE or kind == CONTINUE:
                 module = find(result.next_module)
                 view = result.view
                 continue
+            # Positional: (kind, path, reason, view, consulted, switches).
             if kind is TO_PATH or kind == TO_PATH:
                 path = result.path
                 if path is None or path.destroyed:
-                    return Classification(DROP, reason="dead-path",
-                                          modules_consulted=consulted,
-                                          domain_switches=switches)
-                return Classification(TO_PATH, path=path, view=view,
-                                      modules_consulted=consulted,
-                                      domain_switches=switches)
-            return Classification(DROP, reason=result.reason or "reject",
-                                  modules_consulted=consulted,
-                                  domain_switches=switches)
+                    return Classification(DROP, None, "dead-path", None,
+                                          consulted, switches)
+                return Classification(TO_PATH, path, "", view, consulted,
+                                      switches)
+            return Classification(DROP, None, result.reason or "reject",
+                                  None, consulted, switches)
         return Classification(DROP, reason="demux-loop",
                               modules_consulted=consulted,
                               domain_switches=switches)

@@ -54,6 +54,8 @@ class EthModule(Module):
         self._demux_table: Dict[int, object] = {}
         self._demux_gen = -1
         self._fwd = DemuxResult.forward("", None)
+        #: Drop reason -> interned ``eth-drop:<reason>`` interrupt label.
+        self._drop_labels: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Device binding
@@ -73,12 +75,17 @@ class EthModule(Module):
         result = self.demultiplexer.classify(self, frame)
         demux_cycles = result.demux_cycles(self.kernel)
         if result.kind == DROP:
-            self.drops[result.reason] = self.drops.get(result.reason, 0) + 1
+            reason = result.reason
+            drops = self.drops
+            drops[reason] = drops.get(reason, 0) + 1
+            label = self._drop_labels.get(reason)
+            if label is None:
+                label = self._drop_labels[reason] = f"eth-drop:{reason}"
             # Drop work is charged to the driver's domain: no path exists
             # (or deserves) to pay for it.
             self.kernel.cpu.post_interrupt(Interrupt(
                 [(self.pd, costs.eth_rx_interrupt + demux_cycles)],
-                label=f"eth-drop:{result.reason}"))
+                label=label))
             return
         path = result.path
 

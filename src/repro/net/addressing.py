@@ -7,7 +7,14 @@ primitive that policy is written against.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Dict, Iterator
+
+#: Most addresses one :class:`Subnet` remembers membership for.  A flood
+#: rotates through a few thousand spoofed sources, so the memo holds all
+#: of them; a sweep over more distinct addresses than this parses the
+#: rest on every call instead of growing without bound.  A constant, not
+#: an option: it changes host time only, never an answer.
+CONTAINS_MEMO_CAP = 65536
 
 
 def ip_to_int(addr: str) -> int:
@@ -46,14 +53,33 @@ class Subnet:
             0xFFFFFFFF << (32 - self.prefix_len)) & 0xFFFFFFFF
         self.base = ip_to_int(base) & self.mask
         self.cidr = cidr
+        #: Address string -> membership, filled by :meth:`contains` up to
+        #: :data:`CONTAINS_MEMO_CAP` entries.  Per instance: one Subnet
+        #: (``TRUSTED_SUBNET``) is shared by every run in a process.
+        self._memo: Dict[str, bool] = {}
 
     def contains(self, addr: str) -> bool:
-        return (ip_to_int(addr) & self.mask) == self.base
+        memo = self._memo
+        hit = memo.get(addr)
+        if hit is None:
+            # A malformed address raises here and is never memoized.
+            hit = (ip_to_int(addr) & self.mask) == self.base
+            if len(memo) < CONTAINS_MEMO_CAP:
+                memo[addr] = hit
+        return hit
 
     def hosts(self, count: int, start: int = 1) -> Iterator[str]:
-        """Yield ``count`` host addresses inside the subnet."""
-        for i in range(start, start + count):
-            yield int_to_ip(self.base + i)
+        """Iterate over ``count`` addresses from offset ``start`` on.
+
+        Raises ``ValueError`` unless the whole range lies inside the
+        prefix.
+        """
+        end = start + count
+        if start < 0 or count < 0 or end > 1 << (32 - self.prefix_len):
+            raise ValueError(
+                f"hosts({count}, start={start}) leaves {self.cidr}")
+        base = self.base
+        return (int_to_ip(base + i) for i in range(start, end))
 
     def __contains__(self, addr: str) -> bool:
         return self.contains(addr)

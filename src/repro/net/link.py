@@ -15,7 +15,8 @@ fraction in Table 1 and the TCP behaviour in Figure 8.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.clock import TICKS_PER_ETHERNET_BIT, micros_to_ticks
 from repro.sim.engine import Simulator
@@ -54,7 +55,7 @@ class NIC:
         self.medium.transmit(frame, self)
 
     def deliver(self, frame: EthFrame) -> None:
-        if getattr(frame, "corrupted", False):
+        if frame.corrupted:
             self.rx_crc_errors += 1
             return
         self.rx_frames += 1
@@ -117,10 +118,14 @@ class Hub(Medium):
         self.nics: List[NIC] = []
         self._busy_until = 0
         self.frames = 0
+        #: Sender -> every other attached NIC; cleared by :meth:`attach`.
+        #: Tuples, so a frame in flight keeps the receivers it was sent to.
+        self._receivers: Dict[NIC, Tuple[NIC, ...]] = {}
 
     def attach(self, nic: NIC) -> None:
         self.nics.append(nic)
         nic.medium = self
+        self._receivers.clear()
 
     def transmit(self, frame: EthFrame, sender: NIC) -> None:
         self.frames += 1
@@ -130,13 +135,20 @@ class Hub(Medium):
         done = start + frame.wire_size * 8 * TICKS_PER_ETHERNET_BIT
         self._busy_until = done
         deliver_at = done + self.latency
-        receivers = [n for n in self.nics if n is not sender]
-        self.sim.at(deliver_at, lambda: self._deliver(frame, receivers))
+        receivers = self._receivers.get(sender)
+        if receivers is None:
+            receivers = self._receivers[sender] = tuple(
+                n for n in self.nics if n is not sender)
+        self.sim.at(deliver_at, partial(self._deliver, frame, receivers))
 
-    def _deliver(self, frame: EthFrame, receivers: List[NIC]) -> None:
+    def _deliver(self, frame: EthFrame, receivers: Tuple[NIC, ...]) -> None:
+        dst = frame.dst_mac
         for nic in receivers:
-            if (frame.dst_mac == nic.mac or frame.dst_mac is BROADCAST
-                    or nic.promiscuous):
+            # Identity first: equal MACs are almost always the same object,
+            # and ``==`` (a Python-level ``__eq__``) is only the fallback.
+            mac = nic.mac
+            if (dst is mac or dst is BROADCAST or nic.promiscuous
+                    or dst == mac):
                 nic.deliver(frame)
             # NICs not addressed simply ignore the frame (no promiscuous
             # mode in the testbed).

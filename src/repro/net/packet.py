@@ -139,8 +139,8 @@ class EthFrame:
         self.ethertype = ethertype
         self.payload = payload
         self.corrupted = corrupted
-        inner = getattr(payload, "size", 0)
-        self.wire_size = max(64, ETH_HEADER + inner)  # minimum Ethernet frame
+        size = ETH_HEADER + getattr(payload, "size", 0)
+        self.wire_size = size if size > 64 else 64  # minimum Ethernet frame
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Eth {self.src_mac!r}->{self.dst_mac!r} {self.payload!r}>"

@@ -107,7 +107,11 @@ class Interrupt:
         self.label = label
 
     def total_cycles(self) -> int:
-        return sum(c for _, c in self.charges)
+        charges = self.charges
+        if len(charges) == 1:
+            # The common shape: one owner pays for the whole interrupt.
+            return charges[0][1]
+        return sum(c for _, c in charges)
 
 
 # ----------------------------------------------------------------------
@@ -377,8 +381,16 @@ class CPU:
         elapsed = self.sim.now - start
         if elapsed < 0:
             elapsed = 0
-        consumed = min(total, -(-elapsed // self.tpc))  # ceil div
-        self._charge(owner, consumed)
+        consumed = -(-elapsed // self.tpc)  # ceil div
+        if consumed > total:
+            consumed = total
+        # ``_charge`` inlined here, in ``_chunk_done`` and in ``_intr_done``:
+        # these three run once per chunk or interrupt.
+        if consumed > 0:
+            if owner is not None:
+                owner.charge_cycles(consumed)
+            for fn in self.charge_listeners:
+                fn(owner, consumed)
         self.busy_cycles += consumed
         self.scheduler.on_charge(thread, consumed)
         thread.burst_cycles += consumed
@@ -414,7 +426,11 @@ class CPU:
         intr = self._intr
         self._intr = None
         for owner, cycles in intr.charges:
-            self._charge(owner, cycles)
+            if cycles > 0:
+                if owner is not None:
+                    owner.charge_cycles(cycles)
+                for fn in self.charge_listeners:
+                    fn(owner, cycles)
             self.interrupt_cycles += cycles
         if intr.on_complete is not None:
             intr.on_complete()
@@ -532,7 +548,11 @@ class CPU:
         thread, owner, n, _start, trap, requested = self._chunk
         self._completion_event = None
         self._chunk = None
-        self._charge(owner, n)
+        if n > 0:
+            if owner is not None:
+                owner.charge_cycles(n)
+            for fn in self.charge_listeners:
+                fn(owner, n)
         self.busy_cycles += n
         self.scheduler.on_charge(thread, n)
         thread.burst_cycles += n

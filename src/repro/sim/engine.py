@@ -55,6 +55,9 @@ COMPACT_RATIO = 0.5
 #: test (or an emergency) can A/B the whole system with one assignment.
 FAST_LANE_DEFAULT = True
 
+#: Bound once: ``schedule`` and ``at`` push on nearly every call.
+_heappush = heapq.heappush
+
 #: Threshold stand-in when no progress hook is installed: no event count
 #: ever reaches it, so the per-event check stays a single comparison.
 _NEVER = 1 << 62
@@ -211,15 +214,14 @@ class Simulator:
             raise ValueError(f"negative delay: {delay}")
         time = self.now + delay
         self._seq = seq = self._seq + 1
+        ev = Event(time, seq, fn, self)
         if delay == 0 and self._fast_lane:
             # Same-tick hand-off: FIFO order IS (time, seq) order here,
             # because every lane entry shares ``time`` and ``seq`` is
             # monotonic.  No heap traffic.
-            ev = Event(time, seq, fn, sim=self)
             self._lane.append(ev)
-            return ev
-        ev = Event(time, seq, fn, sim=self)
-        heapq.heappush(self._queue, (time, seq, ev))
+        else:
+            _heappush(self._queue, (time, seq, ev))
         return ev
 
     def at(self, time: int, fn: Callable[[], None]) -> Event:
@@ -228,12 +230,11 @@ class Simulator:
         if time < now:
             raise ValueError(f"cannot schedule in the past: {time} < {now}")
         self._seq = seq = self._seq + 1
+        ev = Event(time, seq, fn, self)
         if time == now and self._fast_lane:
-            ev = Event(time, seq, fn, sim=self)
             self._lane.append(ev)
-            return ev
-        ev = Event(time, seq, fn, sim=self)
-        heapq.heappush(self._queue, (time, seq, ev))
+        else:
+            _heappush(self._queue, (time, seq, ev))
         return ev
 
     # ------------------------------------------------------------------

@@ -10,7 +10,7 @@ expires.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.sim.clock import TICKS_PER_SECOND
 from repro.sim.costs import CostModel
@@ -39,6 +39,13 @@ class SynAttacker:
                  spoof_hosts: int = 4094):
         if rate_per_second <= 0:
             raise ValueError("rate must be positive")
+        if ramp_to is not None and ramp_to <= 0:
+            raise ValueError(f"ramp_to must be positive: {ramp_to}")
+        max_hosts = (1 << (32 - spoof_subnet.prefix_len)) - 2
+        if not 1 <= spoof_hosts <= max_hosts:
+            raise ValueError(
+                f"spoof_hosts must be in 1..{max_hosts} for "
+                f"{spoof_subnet.cidr}: {spoof_hosts}")
         self.sim = sim
         self.server_ip = server_ip
         self.server_mac = server_mac
@@ -51,6 +58,8 @@ class SynAttacker:
         self._interval = TICKS_PER_SECOND // rate_per_second
         self._spoof_index = 0
         self.spoof_hosts = spoof_hosts
+        #: Spoofed source per host offset, built on first use.
+        self._sources: Dict[int, str] = {}
         #: Ramping flood: the rate climbs linearly from ``rate_per_second``
         #: to ``ramp_to`` over ``ramp_seconds`` after :meth:`start` — the
         #: adaptive-defense scenario, where no static tuning fits both the
@@ -58,11 +67,11 @@ class SynAttacker:
         self.ramp_to = ramp_to
         self._ramp_ticks = int(ramp_seconds * TICKS_PER_SECOND)
         self._start_tick: Optional[int] = None
+        self._ramping = ramp_to is not None and self._ramp_ticks > 0
 
     def current_rate(self) -> int:
         """The instantaneous send rate, including any ramp."""
-        if (self.ramp_to is None or self._ramp_ticks <= 0
-                or self._start_tick is None):
+        if not self._ramping or self._start_tick is None:
             return self.rate
         elapsed = self.sim.now - self._start_tick
         if elapsed >= self._ramp_ticks:
@@ -87,16 +96,20 @@ class SynAttacker:
     def _fire(self) -> None:
         if not self._running:
             return
-        self._spoof_index += 1
+        self._spoof_index = index = self._spoof_index + 1
         # Rotate through the spoofed hosts and the whole port space.
-        src_ip = next(self.spoof_subnet.hosts(
-            1, start=1 + (self._spoof_index % self.spoof_hosts)))
-        src_port = 1024 + (self._spoof_index % 60_000)
-        seg = TCPSegment(src_port, self.target_port, seq=0, ack=0,
-                         flags=FLAG_SYN)
+        host = 1 + index % self.spoof_hosts
+        src_ip = self._sources.get(host)
+        if src_ip is None:
+            src_ip = self._sources[host] = next(
+                self.spoof_subnet.hosts(1, start=host))
+        seg = TCPSegment(1024 + index % 60_000, self.target_port, 0, 0,
+                         FLAG_SYN)
         dgram = IPDatagram(src_ip, self.server_ip, IPPROTO_TCP, seg)
-        frame = EthFrame(self.nic.mac, self.server_mac, ETHERTYPE_IP, dgram)
-        self.nic.send(frame)
+        nic = self.nic
+        nic.send(EthFrame(nic.mac, self.server_mac, ETHERTYPE_IP, dgram))
         self.sent += 1
-        interval = TICKS_PER_SECOND // self.current_rate()
+        # Without a ramp the rate never changes: reuse the start interval.
+        interval = (TICKS_PER_SECOND // self.current_rate() if self._ramping
+                    else self._interval)
         self.sim.schedule(max(1, interval), self._fire)

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.net import addressing
 from repro.net.addressing import MacAddr, Subnet, int_to_ip, ip_to_int
 
 
@@ -57,3 +58,70 @@ def test_mac_addresses_unique_and_hashable():
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_ip_int_round_trip_property(value):
     assert ip_to_int(int_to_ip(value)) == value
+
+
+# ----------------------------------------------------------------------
+# Memoized membership: always the arithmetic answer, memo or not
+# ----------------------------------------------------------------------
+def _reference_contains(net, addr):
+    return (ip_to_int(addr) & net.mask) == net.base
+
+
+_addresses = st.integers(min_value=0, max_value=2 ** 32 - 1).map(int_to_ip)
+_cidrs = st.tuples(st.integers(min_value=0, max_value=2 ** 32 - 1),
+                   st.integers(min_value=0, max_value=32)).map(
+    lambda t: f"{int_to_ip(t[0])}/{t[1]}")
+
+
+@given(_cidrs, st.lists(_addresses, min_size=1, max_size=40))
+def test_contains_matches_reference_while_memo_fills(cidr, addrs):
+    net = Subnet(cidr)
+    for addr in addrs + addrs:          # second pass answers from the memo
+        assert net.contains(addr) == _reference_contains(net, addr)
+
+
+@given(st.lists(_addresses, min_size=1, max_size=40))
+def test_contains_matches_reference_past_memo_cap(addrs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(addressing, "CONTAINS_MEMO_CAP", 8)
+        net = Subnet("10.9.0.0/16")
+        for i in range(1, 9):           # fill the memo to its cap
+            net.contains(f"10.9.0.{i}")
+        assert len(net._memo) == 8
+        for addr in addrs + addrs:
+            assert net.contains(addr) == _reference_contains(net, addr)
+        assert len(net._memo) == 8
+
+
+def test_memo_is_per_instance():
+    a, b = Subnet("10.1.0.0/16"), Subnet("10.1.0.0/16")
+    a.contains("10.1.2.3")
+    assert "10.1.2.3" in a._memo
+    assert b._memo == {}
+
+
+@pytest.mark.parametrize("bad", ["1.2.3", "1.2.3.4.5", "256.0.0.1",
+                                 "a.b.c.d", ""])
+def test_malformed_address_raises_on_every_call(bad):
+    net = Subnet("10.1.0.0/16")
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            net.contains(bad)
+    assert bad not in net._memo
+
+
+# ----------------------------------------------------------------------
+# hosts() never leaves the prefix
+# ----------------------------------------------------------------------
+def test_hosts_covers_the_whole_prefix():
+    net = Subnet("10.9.0.0/30")
+    assert list(net.hosts(4, start=0)) == [
+        "10.9.0.0", "10.9.0.1", "10.9.0.2", "10.9.0.3"]
+
+
+@pytest.mark.parametrize("count,start", [(1, 256), (2, 255), (300, 1),
+                                         (1, -1), (-1, 1)])
+def test_hosts_outside_the_prefix_raise(count, start):
+    net = Subnet("10.9.0.0/24")
+    with pytest.raises(ValueError):
+        net.hosts(count, start=start)

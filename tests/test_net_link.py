@@ -1,5 +1,7 @@
 """Unit tests for links, the hub, and the switch."""
 
+import pickle
+
 import pytest
 
 from repro.net.addressing import BROADCAST
@@ -155,3 +157,54 @@ def test_unattached_nic_cannot_send(sim):
     nic = NIC(sim)
     with pytest.raises(RuntimeError):
         nic.send(EthFrame(nic.mac, BROADCAST, ETHERTYPE_IP, Payload(10)))
+
+
+def test_hub_nic_attached_after_traffic_receives_later_frames(sim):
+    hub = Hub(sim, latency=0)
+    a, b = NIC(sim, "a"), NIC(sim, "b")
+    hub.attach(a)
+    hub.attach(b)
+    got_b = []
+    b.on_receive = got_b.append
+    a.send(EthFrame(a.mac, BROADCAST, ETHERTYPE_IP, Payload(50)))
+    sim.run()
+    late = NIC(sim, "late")
+    hub.attach(late)
+    got_late = []
+    late.on_receive = got_late.append
+    a.send(EthFrame(a.mac, BROADCAST, ETHERTYPE_IP, Payload(50)))
+    a.send(make_frame(a, late))
+    sim.run()
+    assert len(got_b) == 2
+    assert len(got_late) == 2
+
+
+def test_hub_frame_in_flight_keeps_its_receivers(sim):
+    """A NIC attached while a frame is on the wire does not receive it."""
+    hub = Hub(sim, latency=0)
+    a, b = NIC(sim, "a"), NIC(sim, "b")
+    hub.attach(a)
+    hub.attach(b)
+    a.send(EthFrame(a.mac, BROADCAST, ETHERTYPE_IP, Payload(50)))
+    late = NIC(sim, "late")
+    hub.attach(late)
+    got_late = []
+    late.on_receive = got_late.append
+    sim.run()
+    assert got_late == []
+
+
+def test_hub_delivers_to_equal_but_distinct_mac(sim):
+    hub = Hub(sim, latency=0)
+    a, b, c = NIC(sim, "a"), NIC(sim, "b"), NIC(sim, "c")
+    for nic in (a, b, c):
+        hub.attach(nic)
+    got_b, got_c = [], []
+    b.on_receive = got_b.append
+    c.on_receive = got_c.append
+    dst = pickle.loads(pickle.dumps(b.mac))
+    assert dst == b.mac and dst is not b.mac
+    a.send(EthFrame(a.mac, dst, ETHERTYPE_IP, Payload(50)))
+    sim.run()
+    assert len(got_b) == 1
+    assert got_c == []

@@ -323,3 +323,22 @@ def test_thread_yielding_garbage_raises(sim, cpu):
     with pytest.raises(TypeError):
         cpu.spawn(body(), FakeOwner())
         run(sim)
+
+
+@pytest.mark.parametrize("cycles", [[], [70], [10, 0, 25]])
+def test_interrupt_total_cycles(cycles):
+    charges = [(FakeOwner(f"o{i}"), c) for i, c in enumerate(cycles)]
+    assert Interrupt(charges).total_cycles() == sum(cycles)
+
+
+def test_interrupt_charges_reach_owners_and_listeners(sim, cpu):
+    """Every positive charge is reported once, in order; zero is skipped."""
+    a, b = FakeOwner("a"), FakeOwner("b")
+    seen = []
+    cpu.charge_listeners.append(lambda owner, n: seen.append((owner, n)))
+    cpu.post_interrupt(Interrupt([(a, 30), (b, 0), (a, 5)]))
+    run(sim)
+    assert a.cycles == 35 and b.cycles == 0
+    assert [(o, n) for o, n in seen if o is not cpu.idle_owner] == [
+        (a, 30), (a, 5)]
+    assert cpu.interrupt_cycles == 35
