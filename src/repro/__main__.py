@@ -663,8 +663,6 @@ def bench_main(argv) -> int:
                              "to skip writing)")
     parser.add_argument("--skip-sweep", action="store_true",
                         help="skip the multi-worker sweep benchmark")
-    parser.add_argument("--skip-micro", action="store_true",
-                        help="skip the microbenchmark section")
     parser.add_argument("--baseline", default=None, metavar="JSON",
                         help="compare against a committed BENCH_sim.json "
                              "and fail on events/sec regression")
@@ -696,7 +694,6 @@ def bench_main(argv) -> int:
     report = run_bench(quick=args.quick,
                        output=None if args.output == "-" else args.output,
                        skip_sweep=args.skip_sweep,
-                       skip_micro=args.skip_micro,
                        obs_overhead=args.obs_overhead)
     print(format_report(report))
     if args.output != "-":

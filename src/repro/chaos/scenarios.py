@@ -174,7 +174,6 @@ class ChaosRun:
         self.schedule = schedule
         self.report: Optional[ChaosReport] = None
         self.snapshotter = None
-        self.tracer = None
 
     # -- spec -----------------------------------------------------------
     def spec(self) -> Dict:
@@ -197,14 +196,12 @@ class ChaosRun:
     def build(self) -> None:
         self.bed, self.net_injector = self.scenario.build(self.seed)
 
-    def attach_tracer(self, capacity: int = 200_000):
-        """Instrument the server with a ring-buffer tracer (for the
-        byte-identical-trace determinism tests)."""
-        from repro.sim.trace import Tracer
+    def attach_tracer(self):
+        """Trace the server into a fresh :class:`~repro.obs.spans.SpanLog`
+        and return it (for the byte-identical-trace determinism tests)."""
+        from repro.obs.spans import SpanLog, trace_server
 
-        self.tracer = Tracer(self.bed.sim, capacity=capacity)
-        self.tracer.instrument_server(self.bed.server)
-        return self.tracer
+        return trace_server(self.bed.server, SpanLog())
 
     def milestones(self) -> List[Tuple[int, str]]:
         sc = self.scenario

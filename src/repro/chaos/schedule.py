@@ -78,13 +78,6 @@ class FaultEvent:
                    duration_s=float(payload.get("duration_s", 0.0)),
                    magnitude=float(payload.get("magnitude", 1.0)))
 
-    def replaced(self, **changes) -> "FaultEvent":
-        """A copy with ``changes`` applied (the mutation hook shrinking
-        uses to reduce one parameter at a time)."""
-        fields = self.to_jsonable()
-        fields.update(changes)
-        return FaultEvent(**fields)
-
 
 class FaultSchedule:
     """An ordered, replayable list of fault events plus its seed.
@@ -141,14 +134,6 @@ class FaultSchedule:
         return FaultSchedule(
             [ev for i, ev in enumerate(self.events) if i not in drop],
             seed=self.seed)
-
-    def with_event(self, index: int, **changes) -> "FaultSchedule":
-        """A new schedule with event ``index`` replaced field-wise (the
-        per-entry shrinking hook: reduce a magnitude, shorten a duration,
-        move a fault earlier)."""
-        events = list(self.events)
-        events[index] = events[index].replaced(**changes)
-        return FaultSchedule(events, seed=self.seed)
 
     # ------------------------------------------------------------------
     @classmethod

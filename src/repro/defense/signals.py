@@ -132,9 +132,3 @@ class AccountingMonitor:
             sig.syn_scores[prefix] = base.score(rate)
             base.update(rate)
         return sig
-
-    def baseline_rate(self, prefix: str) -> float:
-        base = self.baselines.get(prefix)
-        if base is None or base.mean is None:
-            return 0.0
-        return base.mean

@@ -93,10 +93,6 @@ class PageAllocator:
         new_owner.page_list.add(page)
         new_owner.usage.pages += 1
 
-    def usage_of(self, owner: Owner) -> int:
-        """Pages currently charged to ``owner`` (validates the counter)."""
-        return len(owner.page_list)
-
     def reclaim_all(self, owner: Owner) -> int:
         """Free every page owned by ``owner``; returns the count freed.
 

@@ -74,10 +74,3 @@ class OwnerScheduler:
 
     def on_owner_idle(self, owner: Owner) -> None:
         """An owner's last runnable thread was removed."""
-
-    # ------------------------------------------------------------------
-    def runnable_owners(self) -> int:
-        return len(self._runnable)
-
-    def has_runnable(self, owner: Owner) -> bool:
-        return owner in self._runnable

@@ -13,7 +13,8 @@ Layers:
 * :mod:`repro.obs.metrics`  — the registry (counters/gauges/histograms
   keyed ``subsystem.name{labels}`` with tick-stamped series);
 * :mod:`repro.obs.spans`    — parent-linked causal spans (signal →
-  rung → watchdog → pathKill chains);
+  rung → watchdog → pathKill chains) and :func:`trace_server`, the
+  demux/path-create/kill execution trace;
 * :mod:`repro.obs.recorder` — the CRC-framed ``obs.jrnl`` sidecar that
   survives SIGKILL (ESCJRNL framing shared with the run journal);
 * :mod:`repro.obs.export`   — JSON / Prometheus-text / JSONL dumps;
@@ -26,10 +27,10 @@ from repro.obs.metrics import (DEFAULT_BOUNDS, Histogram, MetricsRegistry,
 from repro.obs.recorder import (SIDECAR_NAME, FlightRecorder, ObsScan,
                                 scan_obs)
 from repro.obs.session import ObsSession, attach_obs, run_with_obs
-from repro.obs.spans import Span, SpanLog
+from repro.obs.spans import Span, SpanLog, trace_server
 
 __all__ = [
     "DEFAULT_BOUNDS", "FlightRecorder", "Histogram", "MetricsRegistry",
     "ObsScan", "ObsSession", "SIDECAR_NAME", "Span", "SpanLog",
-    "attach_obs", "metric_key", "run_with_obs", "scan_obs",
+    "attach_obs", "metric_key", "run_with_obs", "scan_obs", "trace_server",
 ]

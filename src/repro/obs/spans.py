@@ -1,16 +1,23 @@
-"""Parent-linked causal spans.
+"""Parent-linked causal spans, and the server tracer that records them.
 
-The ring-buffer :class:`~repro.sim.trace.Tracer` records flat events; a
-:class:`SpanLog` upgrades that into a causal structure: each span may
-name a parent, so a ``pathKill`` links back through the watchdog
-detection and the defense rung that armed it to the monitor signal that
-started the episode.  ``repro obs explain --kill <path>`` walks exactly
-this chain.
+A :class:`SpanLog` is the one event model for every tracing consumer:
+each span may name a parent, so a ``pathKill`` links back through the
+watchdog detection and the defense rung that armed it to the monitor
+signal that started the episode.  ``repro obs explain --kill <path>``
+walks exactly this chain.
 
 Span ids are a per-log counter starting at 1 — fully deterministic, so
-two runs of the same seed emit identical span streams.  A ``Tracer``
-built with ``span_log=`` forwards its flat records here too (parentless),
-which keeps the two views consistent without double instrumentation.
+two runs of the same seed emit identical span streams.
+
+:func:`trace_server` records a built server's demux decisions, path
+creations and kills as parentless spans — the execution trace the
+determinism tests compare byte for byte::
+
+    bed = Testbed.escort()
+    log = trace_server(bed.server, SpanLog())
+    bed.run(...)
+    for span in log.find("kill"):
+        print(span)
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.sim.clock import TICKS_PER_SECOND
 
-__all__ = ["Span", "SpanLog"]
+__all__ = ["Span", "SpanLog", "trace_server"]
 
 
 @dataclass
@@ -118,3 +125,58 @@ class SpanLog:
 
     def __len__(self) -> int:
         return len(self.spans)
+
+
+def trace_server(server, spans: SpanLog) -> SpanLog:
+    """Record ``server``'s demux, path-create and kill events into ``spans``.
+
+    Every record is a parentless span stamped ``server.sim.now``:
+
+    * ``demux`` / ``demux-drop`` — each ``eth.demultiplexer.classify``
+      (subject: the path name or drop reason; detail: modules consulted);
+    * ``path-create`` — each ``path_manager.path_create`` (detail: the
+      stage chain);
+    * ``kill`` — each ``kernel.kill_owner``, heard through
+      ``kernel.kill_listeners`` (detail: cycles and domains visited).
+
+    Tracing is a pure observer: no event is scheduled, so ``sim.seq`` and
+    the state digest match an untraced run.  Idempotent: a server that is
+    already traced is left alone (its events keep going to the first
+    log), since stacked hooks would record every event twice.  Returns
+    ``spans``.
+    """
+    sim = server.sim
+    demux = server.eth.demultiplexer
+    classify = demux.classify
+    if getattr(classify, "_escort_traced", False):
+        return spans
+
+    def traced_classify(first_module, packet):
+        result = classify(first_module, packet)
+        if result.kind == "path":
+            kind, subject = "demux", result.path.name
+        else:
+            kind, subject = "demux-drop", result.reason
+        spans.add(kind, subject, f"{result.modules_consulted} modules",
+                  tick=sim.now)
+        return result
+
+    manager = server.path_manager
+    path_create = manager.path_create
+
+    def traced_create(attrs, start_module, **kwargs):
+        path = yield from path_create(attrs, start_module, **kwargs)
+        spans.add("path-create", path.name,
+                  "-".join(s.module.name for s in path.stages), tick=sim.now)
+        return path
+
+    def on_kill(owner, report):
+        spans.add("kill", report.owner_name,
+                  f"{report.cycles} cycles, "
+                  f"{report.domains_visited} domains", tick=sim.now)
+
+    traced_classify._escort_traced = True
+    demux.classify = traced_classify
+    manager.path_create = traced_create
+    server.kernel.kill_listeners.append(on_kill)
+    return spans

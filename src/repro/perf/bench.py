@@ -32,7 +32,7 @@ SCHEMA = "escort-bench/1"
 
 
 # ----------------------------------------------------------------------
-# Microbench: the synthetic event mix
+# Event loop: the synthetic event mix
 # ----------------------------------------------------------------------
 def _drive_event_mix(sim, n_rounds: int) -> int:
     """Schedule and run a representative mix; returns events executed.
@@ -224,7 +224,7 @@ def bench_sweep(worker_counts=(1, 2, 4), quick: bool = False) -> Dict:
 # Entry point
 # ----------------------------------------------------------------------
 def run_bench(quick: bool = False, output: str = "BENCH_sim.json",
-              skip_sweep: bool = False, skip_micro: bool = False,
+              skip_sweep: bool = False,
               obs_overhead: bool = False) -> Dict:
     """Run the full suite and write ``BENCH_sim.json``."""
     report = {
@@ -248,9 +248,6 @@ def run_bench(quick: bool = False, output: str = "BENCH_sim.json",
         report["obs_overhead"] = bench_obs_overhead(
             clients=4 if quick else 8,
             reps=1 if quick else 2, quick=quick)
-    if not skip_micro:
-        from repro.perf.microbench import run_microbench
-        report["microbench"] = run_microbench(quick=quick)
     if not skip_sweep:
         report["sweep"] = bench_sweep(
             worker_counts=(1, 2) if quick else (1, 2, 4), quick=quick)
@@ -335,15 +332,6 @@ def format_report(report: Dict) -> str:
                      f"({obs['obs_events_per_sec']:,} ev/s on vs "
                      f"{obs['baseline_events_per_sec']:,} off; "
                      f"digests {match})")
-    micro = report.get("microbench")
-    if micro:
-        demux = micro["demux"]
-        lines.append(f"  demux         {demux['classifications_per_sec']:>12,} cls/s  "
-                     f"({demux['modules_consulted']} modules per packet)")
-        alloc = micro["alloc_rate"]
-        lines.append(f"  alloc rate    {alloc['bytes_per_event']:>12,.0f} B/ev   "
-                     f"(peak {alloc['peak_kib']:,.0f} KiB over "
-                     f"{alloc['events']:,} events)")
     sweep = report.get("sweep")
     if sweep:
         per_w = ", ".join(f"{w}w={s:.2f}s"

@@ -187,10 +187,6 @@ class ScoutWebServer:
     def degrade_level(self) -> int:
         return self.http.degrade_level
 
-    def set_degrade_level(self, level: int) -> None:
-        """Graceful-degradation actuator (defense ladder rung 4)."""
-        self.http.degrade_level = level
-
     def describe(self) -> str:
         cfg = self.kernel.config
         kind = ("Accounting_PD" if cfg.protection_domains

@@ -32,7 +32,6 @@ from repro.sim.cpu import (
     ThreadKilled,
 )
 from repro.sim.costs import CostModel
-from repro.sim.trace import TraceEvent, Tracer
 
 __all__ = [
     "TICKS_PER_SECOND",
@@ -55,6 +54,4 @@ __all__ = [
     "Interrupt",
     "ThreadKilled",
     "CostModel",
-    "TraceEvent",
-    "Tracer",
 ]

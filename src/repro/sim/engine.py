@@ -474,7 +474,8 @@ class Simulator:
                 f"(= {total}); health={self.queue_health()}")
 
     def queue_health(self) -> dict:
-        """Engine-health counters for perf runs (see :mod:`repro.sim.trace`)."""
+        """Engine-health counters (``repro bench``'s end-to-end report and
+        the obs session's engine gauges)."""
         return {
             "now": self.now,
             "events_processed": self._events_processed,

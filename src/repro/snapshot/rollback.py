@@ -63,10 +63,6 @@ class RollbackReport:
                     or self.events_cancelled or self.semaphores_destroyed
                     or self.heap_allocs_freed)
 
-    @property
-    def snapshot_age_ticks(self) -> int:
-        return self.rollback_tick - self.snapshot_tick
-
 
 class DomainSnapshotter:
     """Takes and applies per-domain object snapshots."""

@@ -10,7 +10,7 @@ from repro.obs.export import prom_name, prom_text, write_dump
 from repro.obs.metrics import Histogram, MetricsRegistry, metric_key
 from repro.obs.recorder import SIDECAR_NAME, FlightRecorder, scan_obs
 from repro.obs.session import ObsSession
-from repro.obs.spans import Span, SpanLog
+from repro.obs.spans import Span, SpanLog, trace_server
 from repro.sim.engine import Simulator
 from repro.snapshot.journal import JournalError
 
@@ -135,6 +135,86 @@ def test_span_record_roundtrip_and_sink():
     other = SpanLog()
     other.load(span.to_record())
     assert other.find("rung")[0].id == span.id
+
+
+def test_span_find_combines_kind_and_subject_filters():
+    log = SpanLog()
+    log.add("kill", "conn-1", tick=0)
+    log.add("kill", "pd-9", tick=5)
+    log.add("demux", "conn-1", tick=7)
+    hits = log.find("kill", subject_contains="conn")
+    assert [(s.kind, s.subject) for s in hits] == [("kill", "conn-1")]
+    assert [s.tick for s in log.find(subject_contains="conn-1")] == [0, 7]
+    assert len(log) == 3
+
+
+# ----------------------------------------------------------------------
+# trace_server
+# ----------------------------------------------------------------------
+def test_trace_server_records_everything():
+    from repro.experiments.harness import Testbed
+    from repro.policy import RunawayPolicy
+
+    bed = Testbed.escort(policies=[RunawayPolicy(2.0)])
+    log = trace_server(bed.server, SpanLog())
+    bed.add_clients(2, document="/doc-1")
+    bed.add_cgi_attackers(1)
+    bed.run(warmup_s=0.3, measure_s=1.5)
+
+    assert len(log.find("demux")) > 50
+    creates = log.find("path-create")
+    assert len(creates) > 10
+    kills = log.find("kill")
+    assert len(kills) >= 1
+    # Stage chains are recorded for each created path.
+    assert any("eth-ip-tcp-http-fs-scsi" in s.detail for s in creates)
+    assert all("cycles" in s.detail for s in kills)
+    # Every record is a parentless point-event.
+    assert all(s.parent is None for s in log.spans)
+    # And the server still works with the hooks installed.
+    assert bed.server.http.requests_served > 0
+
+
+def test_trace_server_is_idempotent():
+    """Re-tracing must not stack hooks (double-recording)."""
+    from repro.experiments.harness import Testbed
+
+    bed = Testbed.escort()
+    log = SpanLog()
+    assert trace_server(bed.server, log) is log
+    classify_once = bed.server.eth.demultiplexer.classify
+    create_once = bed.server.path_manager.path_create
+    listeners = len(bed.server.kernel.kill_listeners)
+    trace_server(bed.server, log)
+    assert bed.server.eth.demultiplexer.classify is classify_once
+    assert bed.server.path_manager.path_create is create_once
+    assert len(bed.server.kernel.kill_listeners) == listeners
+
+    bed.add_clients(2, document="/doc-1")
+    bed.run(warmup_s=0.2, measure_s=0.5)
+    served = bed.server.http.requests_served
+    assert served > 0
+    # One demux record per classification, not two.
+    assert len(log.find("demux")) >= served
+    subjects = [s.subject for s in log.find("path-create")]
+    assert len(subjects) == len(set(subjects)), "path created twice"
+
+
+def test_trace_server_is_a_pure_observer():
+    """A traced chaos run ends in the same state as an untraced one."""
+    from repro.chaos import ChaosRun
+    from repro.snapshot import RunDriver
+
+    def once(traced):
+        run = ChaosRun("domain-crash", 1)
+        driver = RunDriver(run)
+        log = run.attach_tracer() if traced else None
+        driver.run_all()
+        return run.digest(), driver.sim.seq, log
+
+    digest, seq, log = once(traced=True)
+    assert len(log) > 0
+    assert (digest, seq) == once(traced=False)[:2]
 
 
 # ----------------------------------------------------------------------
