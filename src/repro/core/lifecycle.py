@@ -31,12 +31,11 @@ class PathCreateError(EscortError):
 
 
 def default_work_handler(work: PathWork) -> Generator:
-    """Run one unit of path work: dispatch to the entry stage's module."""
+    """One unit of path work: the entry stage module's generator."""
+    stage = work.stage
     if work.direction == FORWARD:
-        result = yield from work.stage.module.forward(work.stage, work.msg)
-    else:
-        result = yield from work.stage.module.backward(work.stage, work.msg)
-    return result
+        return stage.module.forward(stage, work.msg)
+    return stage.module.backward(stage, work.msg)
 
 
 class PathManager:
@@ -137,14 +136,28 @@ class PathManager:
         return stages
 
     def _assemble(self, path: Path, stages: List[Stage]) -> None:
-        """Order stages along the graph and build the crossing map."""
+        """Order stages along the graph, link each stage to its
+        neighbours with the crossing cost of each hop, and build the
+        crossing map.
+
+        The cost table and the protection-domain setting are fixed at
+        kernel build, and a module only changes domain when a crashed
+        domain is rebuilt — after every path crossing it was killed — so
+        a live path's hop costs never go stale.
+        """
         stages.sort(key=lambda s: self.graph.position(s.module.name))
         path.stages = stages
+        crossing_cost = self.kernel.crossing_cost
         for i, stage in enumerate(stages):
             stage.index = i
         for a, b in zip(stages, stages[1:]):
-            path.allow_crossing(a.module.pd, b.module.pd)
-            path.allow_crossing(b.module.pd, a.module.pd)
+            a_pd, b_pd = a.module.pd, b.module.pd
+            path.allow_crossing(a_pd, b_pd)
+            path.allow_crossing(b_pd, a_pd)
+            a.forward_stage = b
+            b.backward_stage = a
+            a.forward_cost = crossing_cost(a_pd, b_pd)
+            b.backward_cost = crossing_cost(b_pd, a_pd)
         for pd in path.domains_crossed():
             pd.crossing_paths.add(path)
             path.on_destroy(

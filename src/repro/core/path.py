@@ -13,7 +13,9 @@ makes a synchronous request/response call (the file-access interface).  All
 three insert the protection-domain crossing cost when the adjacent stage's
 module lives in a different domain, after checking the crossing is in the
 path's allowed-crossings map — the simulation analogue of the memory-trap +
-hash-lookup mechanism in section 3.2 of the paper.
+hash-lookup mechanism in section 3.2 of the paper.  Each stage's neighbours
+and hop costs are fixed when the path is assembled, so a same-domain hop
+goes straight to the neighbour's module.
 """
 
 from __future__ import annotations
@@ -59,43 +61,52 @@ class Stage:
         self.index: int = -1  # assigned when the path is assembled
         #: Module-private per-path state.
         self.state: Dict[str, Any] = {}
+        #: The adjacent stages toward the disk end and the network end
+        #: (None at the path's ends) and the crossing cost of each hop.
+        #: A path's module sequence is fixed at pathCreate, so
+        #: ``PathManager._assemble`` computes these once.
+        self.forward_stage: Optional["Stage"] = None
+        self.backward_stage: Optional["Stage"] = None
+        self.forward_cost = 0
+        self.backward_cost = 0
 
     # ------------------------------------------------------------------
     # Inter-stage communication
     # ------------------------------------------------------------------
-    def next_forward(self) -> Optional["Stage"]:
-        """The adjacent stage toward the disk end (None at the end)."""
-        stages = self.path.stages
-        if 0 <= self.index + 1 < len(stages):
-            return stages[self.index + 1]
-        return None
-
-    def next_backward(self) -> Optional["Stage"]:
-        """The adjacent stage toward the network end (None at the end)."""
-        if self.index > 0:
-            return self.path.stages[self.index - 1]
-        return None
-
     def send_forward(self, msg: Any) -> Generator:
-        """Deliver ``msg`` to the next stage toward the disk end."""
-        nxt = self.next_forward()
+        """Deliver ``msg`` to the next stage toward the disk end.
+
+        Returns the generator to ``yield from``: on a same-domain hop,
+        the neighbour module's own ``forward``.
+        """
+        nxt = self.forward_stage
         if nxt is None:
             raise InvalidOperationError(
                 f"{self.module.name} has no forward neighbour on "
                 f"{self.path.name}")
-        yield from self.path.cross(self.module.pd, nxt.module.pd)
-        result = yield from nxt.module.forward(nxt, msg)
-        return result
+        if self.forward_cost:
+            return self._crossing_hop(nxt, FORWARD, msg)
+        return nxt.module.forward(nxt, msg)
 
     def send_backward(self, msg: Any) -> Generator:
-        """Deliver ``msg`` to the next stage toward the network end."""
-        nxt = self.next_backward()
+        """Deliver ``msg`` to the next stage toward the network end
+        (returns the generator to ``yield from``, as ``send_forward``)."""
+        nxt = self.backward_stage
         if nxt is None:
             raise InvalidOperationError(
                 f"{self.module.name} has no backward neighbour on "
                 f"{self.path.name}")
+        if self.backward_cost:
+            return self._crossing_hop(nxt, BACKWARD, msg)
+        return nxt.module.backward(nxt, msg)
+
+    def _crossing_hop(self, nxt: "Stage", direction: str,
+                      msg: Any) -> Generator:
+        """A hop into another domain: charge the crossing, then deliver."""
         yield from self.path.cross(self.module.pd, nxt.module.pd)
-        result = yield from nxt.module.backward(nxt, msg)
+        module = nxt.module
+        step = module.forward if direction == FORWARD else module.backward
+        result = yield from step(nxt, msg)
         return result
 
     def call_forward(self, request: Any) -> Generator:
@@ -104,14 +115,16 @@ class Stage:
         Charges a crossing in each direction: the call traps into the
         target domain, the return traps back.
         """
-        nxt = self.next_forward()
+        nxt = self.forward_stage
         if nxt is None:
             raise InvalidOperationError(
                 f"{self.module.name} has no forward neighbour on "
                 f"{self.path.name}")
-        yield from self.path.cross(self.module.pd, nxt.module.pd)
+        if self.forward_cost:
+            yield from self.path.cross(self.module.pd, nxt.module.pd)
         result = yield from nxt.module.handle_call(nxt, request)
-        yield from self.path.cross(nxt.module.pd, self.module.pd)
+        if nxt.backward_cost:
+            yield from self.path.cross(nxt.module.pd, self.module.pd)
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -230,6 +243,7 @@ class Path(Owner):
         for stage in self.stages:
             stage.state.clear()
             stage.path = None  # type: ignore[assignment]
+            stage.forward_stage = stage.backward_stage = None
         self.stages = []
         self.destructors.clear()
         pool = self.pool

@@ -54,6 +54,8 @@ class KernelEvent:
         self.name = name or f"event-{self.event_id}"
         self.cancelled = False
         self.fired = 0
+        #: True while the event sits in the softclock wheel.
+        self.armed = False
 
         owner.check_alive()
         owner.event_list.add(self)
@@ -67,11 +69,14 @@ class KernelEvent:
         self.owner.event_list.discard(self)
         self.owner.usage.events -= 1
         self.owner.usage.kmem -= EVENT_KMEM
-        # Let the softclock track its dead weight (lazy purge); stub
-        # kernels in unit tests may have no softclock.
-        softclock = getattr(self.kernel, "softclock", None)
-        if softclock is not None:
-            softclock.note_cancel()
+        # An event still in the wheel becomes a tombstone there: let the
+        # softclock track its dead weight (lazy purge).  A fired one-shot
+        # event has already left the wheel.  Stub kernels in unit tests
+        # may have no softclock.
+        if self.armed:
+            softclock = getattr(self.kernel, "softclock", None)
+            if softclock is not None:
+                softclock.note_cancel()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<KernelEvent {self.name} owner={self.owner.name}>"
@@ -115,6 +120,7 @@ class Softclock:
         """Arm an event: it fires at the first tick past its delay."""
         due = self.kernel.sim.now + event.delay_ticks
         self._seq += 1
+        event.armed = True
         heapq.heappush(self._wheel, (due, self._seq, event))
 
     def entries(self) -> List[Tuple[int, int, str]]:
@@ -158,9 +164,9 @@ class Softclock:
         due: List[KernelEvent] = []
         while self._wheel and self._wheel[0][0] <= now:
             _, _, ev = heapq.heappop(self._wheel)
+            ev.armed = False
             if ev.cancelled:
-                if self._cancelled_pending > 0:
-                    self._cancelled_pending -= 1
+                self._cancelled_pending -= 1
             elif not ev.owner.destroyed:
                 due.append(ev)
 

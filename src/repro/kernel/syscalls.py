@@ -113,8 +113,8 @@ class SystemCalls:
 
     def thread_yield(self, owner, domain):
         self._enter("thread_yield", owner, domain)
-        from repro.sim.cpu import YieldCPU
-        return YieldCPU()
+        from repro.sim.cpu import YIELD
+        return YIELD
 
     # ------------------------------------------------------------------
     # Events (2) and semaphores (2)

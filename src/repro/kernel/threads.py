@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Generator, List, Optional, TYPE_CHECKING
 
-from repro.sim.cpu import Block, Cycles, SimThread, YieldCPU
+from repro.sim.cpu import YIELD, Block, Cycles, SimThread
 from repro.kernel.errors import OwnerDestroyedError
 from repro.kernel.owner import Owner, OwnerType
 from repro.kernel.queues import BoundedQueue
@@ -123,17 +123,20 @@ class ThreadPool:
             self.threads.append(thread)
 
     def _worker(self) -> Generator:
-        switch_cost = self.kernel.costs.thread_switch
+        switch = Cycles(self.kernel.costs.thread_switch + self.kernel.acct(1))
+        queue, handler = self.queue, self.handler
         while True:
-            item = yield from self.queue.get()
+            item = queue.get_nowait()
             if item is None:
-                return  # queue closed: path going away
-            yield Cycles(switch_cost + self.kernel.acct(1))
-            yield from self.handler(item)
+                item = yield from queue.get()
+                if item is None:
+                    return  # queue closed: path going away
+            yield switch
+            yield from handler(item)
             # Well-behaved module code yields between work items: this is
             # what keeps a busy path's bursts far under the runaway limit
             # (only genuinely runaway code trips the 2 ms policy).
-            yield YieldCPU()
+            yield YIELD
 
     def shutdown(self) -> None:
         """Close the queue; workers drain and exit."""

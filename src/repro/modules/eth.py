@@ -18,6 +18,7 @@ from typing import Any, Dict, Generator, Optional
 from repro.sim.cpu import Cycles, Interrupt
 from repro.core.demux import DROP, Demultiplexer, DemuxResult, TO_PATH
 from repro.core.path import FORWARD, PathWork, Stage
+from repro.kernel.errors import InvalidOperationError
 from repro.modules.base import Module, OpenResult
 from repro.net.link import NIC
 from repro.net.packet import ETHERTYPE_ARP, ETHERTYPE_IP, EthFrame
@@ -56,6 +57,9 @@ class EthModule(Module):
         self._fwd = DemuxResult.forward("", None)
         #: Drop reason -> interned ``eth-drop:<reason>`` interrupt label.
         self._drop_labels: Dict[str, str] = {}
+        # Per-frame path work has a fixed cost: one instruction each way.
+        self._rx_cycles = Cycles(self.costs.eth_rx + self.acct(1))
+        self._tx_cycles = Cycles(self.costs.eth_tx + self.acct(1))
 
     # ------------------------------------------------------------------
     # Device binding
@@ -93,8 +97,8 @@ class EthModule(Module):
             if path.destroyed:
                 self.drops["dead-path"] = self.drops.get("dead-path", 0) + 1
                 return
-            stage = path.stage_of(self.name)
-            if not path.enqueue(PathWork(stage, FORWARD, frame)):
+            # ETH's stage is the path's first (checked in ``attach``).
+            if not path.enqueue(PathWork(path.stages[0], FORWARD, frame)):
                 self.queue_overflows += 1
 
         self.kernel.cpu.post_interrupt(Interrupt(
@@ -128,18 +132,24 @@ class EthModule(Module):
         # ETH is the network end of every path; it never extends further.
         return OpenResult(self.make_stage(path), ())
 
+    def attach(self, stage: Stage) -> None:
+        # ``on_frame`` hands each received frame to the path's first stage.
+        if stage.index != 0:
+            raise InvalidOperationError(
+                f"{self.name} is not the network end of {stage.path.name}")
+
     # ------------------------------------------------------------------
     # Path processing
     # ------------------------------------------------------------------
     def forward(self, stage: Stage, frame: EthFrame) -> Generator:
         """Inbound frame on a path thread: strip and pass up."""
-        yield Cycles(self.costs.eth_rx + self.acct(1))
+        yield self._rx_cycles
         result = yield from stage.send_forward(frame.payload)
         return result
 
     def backward(self, stage: Stage, out: OutFrame) -> Generator:
         """Outbound: frame the payload and hand it to the NIC."""
-        yield Cycles(self.costs.eth_tx + self.acct(1))
+        yield self._tx_cycles
         self.tx_frames += 1
         frame = EthFrame(self.nic.mac, out.dst_mac, out.ethertype,
                          out.payload)

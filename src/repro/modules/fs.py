@@ -45,6 +45,12 @@ class FsModule(Module):
         self.lookups = 0
         self.cache_hits = 0
         self.disk_reads = 0
+        # Fixed-cost instructions, built once.
+        costs = self.costs
+        self._lookup_cycles = Cycles(costs.fs_lookup + self.acct(1))
+        self._read_cached_cycles = Cycles(costs.fs_read_cached + self.acct(1))
+        self._iobuf_alloc_cycles = Cycles(costs.iobuf_alloc + self.acct(2))
+        self._iobuf_cached_alloc_cycles = Cycles(costs.iobuf_cached_alloc)
 
     def add_document(self, uri: str, size: int) -> None:
         if size <= 0:
@@ -64,14 +70,14 @@ class FsModule(Module):
                     request: FileRead) -> Generator:
         """Return ``(size, Message)`` or ``None`` for a missing file."""
         self.lookups += 1
-        yield Cycles(self.costs.fs_lookup + self.acct(1))
+        yield self._lookup_cycles
         size = self.documents.get(request.uri)
         if size is None:
             return None
         buf = self.cache.get(request.uri)
         if buf is not None and not buf.freed:
             self.cache_hits += 1
-            yield Cycles(self.costs.fs_read_cached + self.acct(1))
+            yield self._read_cached_cycles
             self._associate_with_path(stage, buf)
             return size, Message(body_len=size, iobuf=buf)
         # Cache miss: read through SCSI into a fresh buffer.
@@ -79,10 +85,10 @@ class FsModule(Module):
         ok = yield from stage.call_forward(ScsiRead(size))
         if not ok:
             return None
-        yield Cycles(self.costs.iobuf_alloc + self.acct(2))
+        yield self._iobuf_alloc_cycles
         buf, cache_hit = self.kernel.iobufs.alloc(size, self.pd, self.pd)
         if cache_hit:
-            yield Cycles(self.costs.iobuf_cached_alloc)
+            yield self._iobuf_cached_alloc_cycles
         buf.payload = request.uri
         # FS holds the cache reference; it owns the buffer.
         self.kernel.iobufs.lock(buf, self.pd)

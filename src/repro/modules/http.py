@@ -103,6 +103,12 @@ class HttpModule(Module):
         self.degrade_level = 0
         self.cgi_shed = 0
         self.responses_degraded = 0
+        # Fixed-cost instructions, built once.
+        self._parse_cycles = Cycles(self.costs.http_parse_request
+                                    + self.acct(1))
+        self._build_cycles = Cycles(self.costs.http_build_response
+                                    + self.acct(1))
+        self._cgi_spawn_cycles = Cycles(CGI_SPAWN_COST + self.acct(2))
 
     # ------------------------------------------------------------------
     # Boot: create the passive paths
@@ -143,7 +149,7 @@ class HttpModule(Module):
         request = data.app_data
         if not isinstance(request, HTTPRequest) or stage.state.get("responded"):
             return True
-        yield Cycles(self.costs.http_parse_request + self.acct(1))
+        yield self._parse_cycles
         stage.state["request"] = request
         uri = request.uri
         if uri.startswith("/cgi-bin/"):
@@ -156,7 +162,7 @@ class HttpModule(Module):
 
     def _serve_static(self, stage: Stage, uri: str) -> Generator:
         result = yield from stage.call_forward(FileRead(uri))
-        yield Cycles(self.costs.http_build_response + self.acct(1))
+        yield self._build_cycles
         stage.state["responded"] = True
         if result is None:
             self.requests_404 += 1
@@ -192,12 +198,12 @@ class HttpModule(Module):
             # part (spawn + script cycles) never happens.
             self.cgi_shed += 1
             stage.state["responded"] = True
-            yield Cycles(self.costs.http_build_response + self.acct(1))
+            yield self._build_cycles
             yield from stage.send_backward(AppSend(
                 RESPONSE_HEADER_BYTES + ERROR_BODY_BYTES, fin=True,
                 app_data=("503", script)))
             return
-        yield Cycles(CGI_SPAWN_COST + self.acct(2))
+        yield self._cgi_spawn_cycles
         stage.state["responded"] = True
         if factory is None:
             self.requests_404 += 1
@@ -216,7 +222,7 @@ class HttpModule(Module):
 
     def respond_from_cgi(self, stage: Stage, nbytes: int) -> Generator:
         """Helper for well-behaved CGI scripts to send their output."""
-        yield Cycles(self.costs.http_build_response + self.acct(1))
+        yield self._build_cycles
         self.requests_served += 1
         self.bytes_served += nbytes
         yield from stage.send_backward(AppSend(
@@ -239,7 +245,7 @@ class HttpModule(Module):
 
         def pacer() -> Generator:
             engine = path.stage_of("tcp").state["engine"]
-            yield Cycles(self.costs.http_build_response + self.acct(1))
+            yield self._build_cycles
             next_send = self.kernel.sim.now
             while not path.destroyed and not engine.closed:
                 yield from stage.send_backward(AppSend(chunk))

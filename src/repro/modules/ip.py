@@ -44,6 +44,11 @@ class IpModule(Module):
         self._demux_table: Dict[int, object] = {}
         self._demux_gen = -1
         self._fwd = DemuxResult.forward("", None)
+        self._rx_cycles = Cycles(self.costs.ip_rx + self.acct(1))
+        self._tx_cycles = Cycles(self.costs.ip_tx + self.acct(1))
+        # The ARP module, found on first transmit: a graph only grows and
+        # never replaces a module, so the lookup cannot go stale.
+        self._arp = None
 
     def init_module(self) -> Generator:
         # Everything in the testbed is on-link; a default route models the
@@ -109,7 +114,7 @@ class IpModule(Module):
     # Path processing
     # ------------------------------------------------------------------
     def forward(self, stage: Stage, dgram: IPDatagram) -> Generator:
-        yield Cycles(self.costs.ip_rx + self.acct(1))
+        yield self._rx_cycles
         if dgram.dst_ip != self.local_ip:
             self.drops += 1
             return False
@@ -125,11 +130,13 @@ class IpModule(Module):
         else:
             dst_ip, segment = msg
             proto = IPPROTO_TCP
-        yield Cycles(self.costs.ip_tx + self.acct(1))
+        yield self._tx_cycles
         if self.route(dst_ip) is None:
             self.drops += 1
             return False
-        arp = self.graph.find("arp") if "arp" in self.graph else None
+        arp = self._arp
+        if arp is None and "arp" in self.graph:
+            arp = self._arp = self.graph.find("arp")
         dst_mac = arp.lookup(dst_ip) if arp is not None else None
         if dst_mac is None:
             self.drops += 1

@@ -24,7 +24,7 @@ from __future__ import annotations
 import zlib
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from repro.sim.cpu import Cycles, YieldCPU
+from repro.sim.cpu import YIELD, Cycles
 from repro.core.attributes import Attributes
 from repro.core.demux import DemuxResult
 from repro.core.lifecycle import PathCreateError
@@ -173,6 +173,20 @@ class TcpModule(Module):
         #: the paper's Table 1 measurement window (SYN accept to final
         #: FIN acknowledgement).
         self.conn_windows: List[Tuple[int, int]] = []
+        # Fixed-cost instructions of the per-segment path, built once.
+        costs = self.costs
+        acct = self.acct(1)
+        self._rx_data_cycles = Cycles(costs.tcp_rx_segment + acct)
+        self._rx_handshake_cycles = Cycles(
+            costs.tcp_rx_segment + acct + costs.tcp_handshake_step)
+        self._rx_ack_cycles = Cycles(costs.tcp_rx_ack + acct)
+        self._pure_ack_cycles = Cycles(PURE_ACK_COST + acct)
+        self._timeout_cycles = Cycles(costs.tcp_timeout_per_conn + acct)
+        self._handshake_cycles = Cycles(costs.tcp_handshake_step
+                                        + self.acct(2))
+        #: Payload length -> data-segment transmit instruction (lengths
+        #: are bounded by the MSS).
+        self._tx_cycles: Dict[int, Cycles] = {}
 
     # ------------------------------------------------------------------
     # Boot
@@ -410,14 +424,23 @@ class TcpModule(Module):
         if stage.state.get("listen"):
             result = yield from self._passive_forward(stage, dgram)
             return result
-        result = yield from self._active_forward(stage, dgram)
-        return result
+        # An active path: one segment of an established connection.
+        seg: TCPSegment = dgram.payload
+        if seg.flags & (FLAG_SYN | FLAG_FIN):
+            yield self._rx_handshake_cycles
+        elif seg.payload_len:
+            yield self._rx_data_cycles
+        else:
+            yield self._rx_ack_cycles
+        actions = stage.state["engine"].on_segment(seg)
+        yield from self._apply(stage, actions)
+        return True
 
     def _passive_forward(self, stage: Stage, dgram: IPDatagram) -> Generator:
         """A SYN reached the passive path: create the active path."""
         seg: TCPSegment = dgram.payload
         accepted_at = self.kernel.sim.now  # Table 1's window opens here
-        yield Cycles(self.costs.tcp_handshake_step + self.acct(2))
+        yield self._handshake_cycles
         if not (seg.flags & FLAG_SYN) or seg.flags & FLAG_ACK:
             if (seg.flags & FLAG_ACK
                     and not seg.flags & (FLAG_SYN | FLAG_FIN | FLAG_RST)):
@@ -444,7 +467,7 @@ class TcpModule(Module):
             synack = TCPSegment(seg.dst_port, seg.src_port, seq=cookie,
                                 ack=seg.seq + 1, flags=FLAG_SYN | FLAG_ACK)
             self.syncookies_sent += 1
-            yield Cycles(PURE_ACK_COST + self.acct(1))
+            yield self._pure_ack_cycles
             yield from stage.send_backward((dgram.src_ip, synack))
             return True
         cap = stage.path.policy_state.get("syn_cap")
@@ -514,20 +537,6 @@ class TcpModule(Module):
             path.enqueue(PathWork(tcp_stage, FORWARD, dgram))
         return True
 
-    def _active_forward(self, stage: Stage, dgram: IPDatagram) -> Generator:
-        engine: TCPEngine = stage.state["engine"]
-        seg: TCPSegment = dgram.payload
-        if seg.payload_len or seg.flags & (FLAG_SYN | FLAG_FIN):
-            cost = self.costs.tcp_rx_segment + self.acct(1)
-            if seg.flags & (FLAG_SYN | FLAG_FIN):
-                cost += self.costs.tcp_handshake_step
-        else:
-            cost = self.costs.tcp_rx_ack + self.acct(1)
-        yield Cycles(cost)
-        actions = engine.on_segment(seg)
-        yield from self._apply(stage, actions)
-        return True
-
     # ------------------------------------------------------------------
     # Path processing: outbound
     # ------------------------------------------------------------------
@@ -565,16 +574,20 @@ class TcpModule(Module):
         # Transmissions go down toward IP/ETH.
         for seg in actions.segments:
             if seg.payload_len:
-                yield Cycles(self.costs.tcp_tx_segment
-                             + self.costs.copy_cost(seg.payload_len)
-                             + self.acct(1))
+                instr = self._tx_cycles.get(seg.payload_len)
+                if instr is None:
+                    instr = self._tx_cycles[seg.payload_len] = Cycles(
+                        self.costs.tcp_tx_segment
+                        + self.costs.copy_cost(seg.payload_len)
+                        + self.acct(1))
+                yield instr
             else:
-                yield Cycles(PURE_ACK_COST + self.acct(1))
+                yield self._pure_ack_cycles
             yield from stage.send_backward((stage.state["peer_ip"], seg))
             if seg.payload_len and not path.destroyed:
                 # Keep bursts short: non-preemptive threads must yield
                 # between data segments (see the runaway limit).
-                yield YieldCPU()
+                yield YIELD
             if path.destroyed:
                 return
 
@@ -610,7 +623,7 @@ class TcpModule(Module):
 
         def body() -> Generator:
             stage.state["timers"].pop(name, None)
-            yield Cycles(self.costs.tcp_timeout_per_conn + self.acct(1))
+            yield self._timeout_cycles
             actions = fire(engine)
             yield from self._apply(stage, actions)
 

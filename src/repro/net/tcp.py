@@ -78,43 +78,26 @@ class TCPActions:
     set_delack: Optional[int] = None
     cancel_delack: bool = False
 
-    def merge(self, other: "TCPActions") -> None:
-        self.segments.extend(other.segments)
-        self.deliveries.extend(other.deliveries)
-        self.established = self.established or other.established
-        self.fin_received = self.fin_received or other.fin_received
-        self.closed = self.closed or other.closed
-        self.aborted = self.aborted or other.aborted
-        self.refused = self.refused or other.refused
-        if other.set_rto is not None:
-            self.set_rto = other.set_rto
-            self.cancel_rto = False
-        if other.cancel_rto:
-            self.cancel_rto = True
-            self.set_rto = None
-        if other.set_delack is not None:
-            self.set_delack = other.set_delack
-            self.cancel_delack = False
-        if other.cancel_delack:
-            self.cancel_delack = True
-            self.set_delack = None
 
-
-@dataclass
 class _SentSegment:
-    seq: int
-    payload_len: int
-    flags: int
-    app_data: Any = None
+    """A transmitted segment held until acknowledged."""
 
-    @property
-    def span(self) -> int:
-        span = self.payload_len
-        if self.flags & FLAG_SYN:
+    __slots__ = ("seq", "payload_len", "flags", "app_data", "span")
+
+    def __init__(self, seq: int, payload_len: int, flags: int,
+                 app_data: Any = None):
+        self.seq = seq
+        self.payload_len = payload_len
+        self.flags = flags
+        self.app_data = app_data
+        #: Sequence space consumed (payload plus SYN/FIN); fixed once
+        #: sent, and read on every ACK that scans the unacked queue.
+        span = payload_len
+        if flags & FLAG_SYN:
             span += 1
-        if self.flags & FLAG_FIN:
+        if flags & FLAG_FIN:
             span += 1
-        return span
+        self.span = span
 
 
 class TCPEngine:
@@ -248,7 +231,9 @@ class TCPEngine:
             self._queued_bytes += nbytes
         if fin:
             return self.close()
-        return self._transmit_window()
+        actions = TCPActions()
+        self._transmit_window(actions)
+        return actions
 
     def close(self) -> TCPActions:
         """Application close: send FIN once the queue drains."""
@@ -259,7 +244,9 @@ class TCPEngine:
             self.state = TcpState.FIN_WAIT_1
         elif self.state == TcpState.CLOSE_WAIT:
             self.state = TcpState.LAST_ACK
-        return self._transmit_window()
+        actions = TCPActions()
+        self._transmit_window(actions)
+        return actions
 
     def abort(self) -> TCPActions:
         """Application abort: emit RST and drop everything."""
@@ -314,7 +301,7 @@ class TCPEngine:
         if seg.payload_len or seg.flags & FLAG_FIN:
             self._process_data(seg, actions)
 
-        actions.merge(self._transmit_window())
+        self._transmit_window(actions)
         return actions
 
     def _handle_syn_phase(self, seg: TCPSegment, actions: TCPActions) -> None:
@@ -326,7 +313,7 @@ class TCPEngine:
                 self.state = TcpState.ESTABLISHED
                 actions.established = True
                 actions.segments.append(self._pure_ack())
-                actions.merge(self._transmit_window())
+                self._transmit_window(actions)
             return
         if self.state == TcpState.SYN_RCVD:
             # Duplicate SYN: retransmit our SYN-ACK.
@@ -447,12 +434,16 @@ class TCPEngine:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _transmit_window(self) -> TCPActions:
-        """Segment queued data as cwnd allows; piggyback the FIN."""
-        actions = TCPActions()
+    def _transmit_window(self, actions: TCPActions) -> None:
+        """Segment queued data as cwnd allows; piggyback the FIN.
+
+        Appends to ``actions``: a timer request set here overrides the
+        opposite request already in it (arming the RTO clears a pending
+        ``cancel_rto``; cancelling the delayed ACK clears ``set_delack``).
+        """
         if self.state not in (TcpState.ESTABLISHED, TcpState.FIN_WAIT_1,
                               TcpState.CLOSE_WAIT, TcpState.LAST_ACK):
-            return actions
+            return
         sent_any = False
         while True:
             flight = self.snd_nxt - self.snd_una
@@ -500,10 +491,11 @@ class TCPEngine:
             if self.delack_armed:
                 self.delack_armed = False
                 actions.cancel_delack = True
+                actions.set_delack = None
             self._unacked_rx_bytes = 0
             if not self.rto_armed:
                 actions.set_rto = self._arm_rto()
-        return actions
+                actions.cancel_rto = False
 
     def _dequeue(self, nbytes: int) -> Any:
         """Take bytes off the app queue; returns the first app_data tag."""

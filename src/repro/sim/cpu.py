@@ -87,6 +87,10 @@ class YieldCPU:
     __slots__ = ()
 
 
+#: The one shared :class:`YieldCPU` (it carries no state).
+YIELD = YieldCPU()
+
+
 class Interrupt:
     """A device/timer interrupt.
 
@@ -246,6 +250,7 @@ class CPU:
         self._chunk: Optional[
             Tuple[SimThread, object, int, int, bool, int]] = None
         self._chunk_done_cb = self._chunk_done
+        self._sim_at = sim.at
         # The interrupt whose cycle-consumption event is in flight (at most
         # one: the service loop is strictly sequential); same pattern.
         self._intr: Optional[Interrupt] = None
@@ -417,7 +422,7 @@ class CPU:
             if now > base:
                 base = now
             self._free_at = base + cost * self.tpc
-            self.sim.at(self._free_at, self._intr_done_cb)
+            self._sim_at(self._free_at, self._intr_done_cb)
         else:
             self._intr_done()
 
@@ -466,11 +471,12 @@ class CPU:
 
     def _advance(self, thread: SimThread, value) -> None:
         """Drive the thread generator until it consumes time or blocks."""
+        send = thread.body.send
         while True:
             try:
                 if thread.state == _DEAD:
                     return
-                instr = thread.body.send(value)
+                instr = send(value)
             except StopIteration:
                 self._thread_done(thread)
                 return
@@ -492,10 +498,26 @@ class CPU:
             # and identity comparison beats isinstance in this loop.
             cls = instr.__class__
             if cls is Cycles or isinstance(instr, Cycles):
-                owner = instr.owner if instr.owner is not None else thread.owner
-                if instr.n == 0:
+                n = instr.n
+                if n == 0:
                     continue
-                self._start_chunk(thread, owner, instr.n)
+                owner = instr.owner
+                if owner is None:
+                    owner = thread.owner
+                if getattr(thread.owner, "runtime_limit_cycles",
+                           None) is not None:
+                    self._start_chunk(thread, owner, n)
+                    return
+                # No runtime limit: the chunk runs whole, so it starts
+                # here (``_start_chunk`` without the limit split).
+                start = self.sim.now
+                if self._free_at > start:
+                    start = self._free_at
+                end = start + n * self.tpc
+                self._chunk = (thread, owner, n, start, False, n)
+                self._free_at = end
+                self._completion_event = self._sim_at(end,
+                                                      self._chunk_done_cb)
                 return
             if cls is Block or isinstance(instr, Block):
                 thread.state = _BLOCKED
@@ -541,7 +563,7 @@ class CPU:
         end = start + n * self.tpc
         self._chunk = (thread, owner, n, start, trap, requested)
         self._free_at = end
-        self._completion_event = self.sim.at(end, self._chunk_done_cb)
+        self._completion_event = self._sim_at(end, self._chunk_done_cb)
 
     def _chunk_done(self) -> None:
         """The in-flight consume chunk ran to completion (not preempted)."""

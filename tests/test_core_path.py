@@ -12,10 +12,10 @@ def test_stage_navigation(sim):
     server = make_server(sim)
     path = create_path(sim, server)
     tcp_stage = path.stage_of("tcp")
-    assert tcp_stage.next_backward().module.name == "ip"
-    assert tcp_stage.next_forward().module.name == "http"
-    assert path.stages[0].next_backward() is None
-    assert path.stages[-1].next_forward() is None
+    assert tcp_stage.backward_stage.module.name == "ip"
+    assert tcp_stage.forward_stage.module.name == "http"
+    assert path.stages[0].backward_stage is None
+    assert path.stages[-1].forward_stage is None
 
 
 def test_stage_of_unknown_module_raises(sim):

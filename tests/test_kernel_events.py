@@ -1,11 +1,14 @@
 """Unit tests for kernel events, semaphores, and the softclock."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.clock import millis_to_ticks
 from repro.sim.cpu import Block, Cycles
+from repro.sim.engine import Simulator
 from repro.kernel.errors import InvalidOperationError
 from repro.kernel.events import EVENT_KMEM, SEMAPHORE_KMEM
+from repro.kernel.kernel import Kernel, KernelConfig
 from repro.kernel.owner import Owner, OwnerType
 
 
@@ -127,6 +130,43 @@ def test_event_kmem_accounting(sim, kernel):
     ev.cancel()
     assert owner.usage.events == 0
     assert owner.usage.kmem == 0
+
+
+def _wheel_tombstones(softclock):
+    return sum(1 for _due, _seq, ev in softclock._wheel if ev.cancelled)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["add", "periodic", "cancel",
+                                           "tick"]),
+                          st.integers(min_value=0, max_value=400)),
+                max_size=150))
+def test_softclock_counts_exactly_its_tombstones(ops):
+    """The lazy-purge counter equals the cancelled entries in the wheel,
+    whatever mix of arming, cancelling and firing happened: cancelling
+    an event that already fired (and left the wheel) adds no tombstone."""
+    sim = Simulator()
+    kernel = Kernel(sim, KernelConfig())
+    kernel.boot()
+    owner = make_owner()
+    softclock = kernel.softclock
+    events = []
+
+    def body():
+        return
+        yield  # pragma: no cover
+
+    for op, arg in ops:
+        if op in ("add", "periodic"):
+            events.append(kernel.create_event(
+                owner, body, delay_ticks=millis_to_ticks(arg % 7),
+                periodic=op == "periodic"))
+        elif op == "cancel":
+            if events:
+                events[arg % len(events)].cancel()
+        else:
+            sim.run(until=sim.now + millis_to_ticks(arg % 5))
+        assert softclock._cancelled_pending == _wheel_tombstones(softclock)
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ The wall-clock measurements themselves are marked ``bench`` (deselect with
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,28 @@ def test_format_report_handles_sweepless_reports():
     assert "event loop" in text
     assert "1,000,000 ev/s" in text
     assert "sweep" not in text
+
+
+def _keys(node):
+    """Every mapping key in ``node``, at any depth."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from _keys(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _keys(value)
+
+
+def test_committed_bench_report_matches_the_current_suite():
+    """The committed report carries no fields of deleted measurements."""
+    path = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
+    report = json.loads(path.read_text())
+    assert report["schema"] == SCHEMA
+    stale = [key for key in _keys(report)
+             if any(word in key for word in ("microbench", "legacy",
+                                             "wheel"))]
+    assert stale == []
 
 
 @pytest.mark.bench
