@@ -25,9 +25,10 @@ Subcommands:
   mid-window replica crash, reporting goodput recovery and failover
   latency (``--replay-check`` runs the record/replay self-check);
 * ``ablation`` — the domain-grouping / crossing-cost / early-drop sweeps;
-* ``bench`` — the wall-clock benchmark suite; writes ``BENCH_sim.json``;
-  ``--baseline`` diffs against a committed report and fails on event-loop
-  regression;
+* ``bench`` — the perf gate: ``--ab REV`` runs every perfbench workload
+  on REV and HEAD in alternating pairs, writes ``BENCH_sim.json`` and
+  fails when HEAD is more than 15% slower on any workload or the obs
+  session costs more than 5%;
 * ``record`` / ``replay`` — deterministic-replay tooling: record a run's
   event-level fingerprint journal, then re-execute and pinpoint the first
   divergent event (exit 1 on divergence);
@@ -651,136 +652,48 @@ def ablation_main(argv) -> int:
 
 
 def bench_main(argv) -> int:
-    """The wall-clock benchmark suite; writes BENCH_sim.json."""
+    """The paired A/B perf gate; writes BENCH_sim.json."""
     parser = argparse.ArgumentParser(
         prog="python -m repro bench",
-        description="Benchmark event-loop throughput, end-to-end run "
-                    "wall-clock, and sweep scaling at 1/2/4 workers.")
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller workloads (CI smoke run)")
+        description="Paired A/B perf gate: run every perfbench workload "
+                    "on REV and HEAD checked out as sibling worktrees, "
+                    "alternating which runs first, and fail when HEAD's "
+                    "median host-s-per-simulated-s ratio exceeds 1.15 on "
+                    "any workload or obs costs more than 5%.")
+    parser.add_argument("--ab", metavar="REV",
+                        help="the revision to compare HEAD against, e.g. "
+                             "the merge base")
     parser.add_argument("--output", "-o", default="BENCH_sim.json",
                         help="report path (default BENCH_sim.json; '-' "
                              "to skip writing)")
-    parser.add_argument("--skip-sweep", action="store_true",
-                        help="skip the multi-worker sweep benchmark")
-    parser.add_argument("--baseline", default=None, metavar="JSON",
-                        help="compare against a committed BENCH_sim.json "
-                             "and fail on events/sec regression")
-    parser.add_argument("--max-regression", type=float, default=0.30,
-                        metavar="FRAC",
-                        help="allowed events/sec slowdown vs the baseline "
-                             "(default 0.30 = 30%%)")
     parser.add_argument("--alloc-profile", action="store_true",
-                        help="skip the benchmarks; profile allocation "
-                             "sites of one end-to-end run via tracemalloc")
-    parser.add_argument("--obs-overhead", action="store_true",
-                        help="also measure the events/sec cost of an "
-                             "attached observability session (one "
-                             "adaptive defense cell, obs-off vs obs-on)")
-    parser.add_argument("--obs-budget", type=float, default=0.05,
-                        metavar="FRAC",
-                        help="with --obs-overhead: allowed throughput "
-                             "fraction lost obs-on (default 0.05 = 5%%); "
-                             "exceeding it fails the run")
+                        help="skip the gate; profile allocation sites of "
+                             "one end-to-end run via tracemalloc")
     args = parser.parse_args(argv)
 
-    from repro.perf.bench import (
-        alloc_profile, format_alloc_profile, format_report, run_bench)
+    import json
+
+    from repro.perf import bench
 
     if args.alloc_profile:
-        print(format_alloc_profile(alloc_profile()))
+        print(bench.format_alloc_profile(bench.alloc_profile()))
         return 0
-
-    report = run_bench(quick=args.quick,
-                       output=None if args.output == "-" else args.output,
-                       skip_sweep=args.skip_sweep,
-                       obs_overhead=args.obs_overhead)
-    print(format_report(report))
-    if args.output != "-":
-        print(f"wrote {args.output}")
-    rc = 0
-    if args.baseline:
-        rc = _bench_guard(report, args.baseline, args.max_regression)
-    if args.obs_overhead:
-        obs = report["obs_overhead"]
-        if not obs["digests_identical"]:
-            print("FAIL: obs-on digest diverged from obs-off — the "
-                  "observer perturbed the run", file=sys.stderr)
-            return 1
-        verdict = "OK" if obs["overhead_frac"] <= args.obs_budget \
-            else "OVER BUDGET"
-        print(f"obs guard: {obs['overhead_frac']:.1%} overhead vs "
-              f"{args.obs_budget:.0%} budget: {verdict}")
-        if obs["overhead_frac"] > args.obs_budget:
-            print(f"FAIL: obs overhead {obs['overhead_frac']:.1%} "
-                  f"exceeds budget {args.obs_budget:.0%}",
-                  file=sys.stderr)
-            return 1
-    return rc
-
-
-def _bench_guard(report, baseline_path: str, max_regression: float) -> int:
-    """Fail when an events/sec headline regressed past the allowance.
-
-    Wall-clock benchmarks are noisy across machines, so the guard only
-    compares the events/sec headlines (event loop, and end-to-end when
-    the baseline carries one) and only in the slower direction; the
-    committed baseline stays put until someone deliberately re-bases it
-    with ``python -m repro bench -o BENCH_sim.json``.
-    """
-    import json
-    import os
-
-    rebase_hint = (f"create/refresh it from a healthy checkout with:\n"
-                   f"  python -m repro bench -o {baseline_path}")
-    if not os.path.exists(baseline_path):
-        print(f"error: baseline {baseline_path} does not exist — nothing "
-              f"to guard against.\n{rebase_hint}", file=sys.stderr)
-        return 2
+    if not args.ab:
+        parser.error("--ab REV is required (or --alloc-profile)")
     try:
-        with open(baseline_path) as fh:
-            baseline = json.load(fh)
-    except OSError as exc:
-        print(f"error: cannot read baseline {baseline_path}: {exc}",
-              file=sys.stderr)
+        report = bench.run_ab(args.ab)
+    except bench.BenchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: baseline {baseline_path} is not valid JSON "
-              f"({exc}) — it may be truncated or hand-edited.\n"
-              f"{rebase_hint}", file=sys.stderr)
-        return 2
-    headline = (baseline.get("event_loop")
-                if isinstance(baseline, dict) else None)
-    if not isinstance(headline, dict) or "events_per_sec" not in headline:
-        shape = (", ".join(sorted(baseline)) or "(empty)") \
-            if isinstance(baseline, dict) else type(baseline).__name__
-        print(f"error: baseline {baseline_path} is valid JSON but does "
-              f"not look like a bench report (no event_loop."
-              f"events_per_sec; top level: {shape}).  It may predate "
-              f"the current report schema.\n{rebase_hint}",
-              file=sys.stderr)
-        return 2
-    failed = False
-    for section, label in (("event_loop", "event loop"),
-                           ("end_to_end", "end-to-end")):
-        base = baseline.get(section, {}).get("events_per_sec")
-        if base is None:
-            continue
-        cur = report.get(section, {}).get("events_per_sec")
-        if cur is None:
-            print(f"bench guard: baseline has a {label} headline but "
-                  f"this run skipped that section; not compared")
-            continue
-        floor = base * (1.0 - max_regression)
-        verdict = "OK" if cur >= floor else "REGRESSION"
-        print(f"bench guard: {label} {cur:,.0f} events/s vs baseline "
-              f"{base:,.0f} (floor {floor:,.0f} at "
-              f"-{max_regression:.0%}): {verdict}")
-        if cur < floor:
-            failed = True
-            print(f"FAIL: {label} slowed more than {max_regression:.0%} "
-                  f"vs {baseline_path}", file=sys.stderr)
-    return 1 if failed else 0
+    if args.output != "-":
+        with open(args.output, "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {args.output}")
+    for reason in bench.failures(report):
+        print(f"FAIL: {reason}", file=sys.stderr)
+    print(f"bench gate: {'PASS' if report['passed'] else 'FAIL'}")
+    return 0 if report["passed"] else 1
 
 
 def record_main(argv) -> int:

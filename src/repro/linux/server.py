@@ -43,17 +43,26 @@ class _LinuxConn:
     """Kernel socket + Apache worker state for one connection."""
 
     def __init__(self, server: "LinuxServer", engine: TCPEngine,
-                 remote_ip: str):
+                 key: Tuple[int, str, int], remote_ip: str):
         self.server = server
         self.engine = engine
+        self.key = key
         self.remote_ip = remote_ip
         self.request_charged = False
+        #: Whether this connection is in ``server.half_open``'s count.
+        self.half_open = False
         self._rto_ev = None
         self._delack_ev = None
 
     def apply(self, actions: TCPActions) -> None:
         server = self.server
         sim = server.sim
+        # Every engine state change reaches the server through here, so
+        # this keeps the backlog count without rescanning connections.
+        half_open = self.engine.half_open
+        if half_open != self.half_open:
+            self.half_open = half_open
+            server.half_open += 1 if half_open else -1
         for seg in actions.segments:
             if seg.payload_len:
                 server.work(server.costs.linux_per_data_segment,
@@ -109,6 +118,8 @@ class LinuxServer:
         self.nic.on_receive = self._on_frame
         self.arp_map: Dict[str, MacAddr] = {}
         self._conns: Dict[Tuple[int, str, int], _LinuxConn] = {}
+        #: Connections in ``_conns`` whose engine is half-open.
+        self.half_open = 0
         self._busy_until = 0
         self.busy_cycles = 0
         self.requests_served = 0
@@ -160,9 +171,7 @@ class LinuxServer:
         if seg.flags & FLAG_SYN and not seg.flags & FLAG_ACK \
                 and seg.dst_port == 80:
             self.syns_seen += 1
-            half_open = sum(1 for c in self._conns.values()
-                            if c.engine.half_open)
-            if half_open >= self.LISTEN_BACKLOG:
+            if self.half_open >= self.LISTEN_BACKLOG:
                 # The kernel cannot tell a flood SYN from a client SYN —
                 # no accounting before the work reaches a principal.
                 self.syns_dropped_backlog += 1
@@ -170,14 +179,12 @@ class LinuxServer:
             engine, actions = TCPEngine.passive_open(
                 self.ip, 80, seg, dgram.src_ip,
                 delayed_ack_ticks=millis_to_ticks(50))
-            conn = _LinuxConn(self, engine, dgram.src_ip)
+            conn = _LinuxConn(self, engine, key, dgram.src_ip)
             self._conns[key] = conn
             conn.apply(actions)
 
     def drop_conn(self, conn: _LinuxConn) -> None:
-        for key, value in list(self._conns.items()):
-            if value is conn:
-                del self._conns[key]
+        del self._conns[conn.key]
 
     # ------------------------------------------------------------------
     # Apache

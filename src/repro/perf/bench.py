@@ -1,270 +1,339 @@
-"""Wall-clock benchmark suite — ``python -m repro bench``.
+"""Paired A/B perf gate — ``python -m repro bench --ab REV``.
 
-Three measurements, written to ``BENCH_sim.json`` in a stable schema
-(``escort-bench/1``) so the perf trajectory is tracked across PRs:
+Checks ``REV`` and ``HEAD`` out as sibling detached git worktrees,
+``<tmp>/a`` and ``<tmp>/b``, and runs each perfbench workload's
+``perfbench/child.py --seed 2`` on both, :data:`PAIRS` times, alternating
+which side runs first.  The two trees differ in one path letter only:
+on a 2-vCPU host, byte-identical copies whose paths differed in length
+by one character read ``static_http`` pair ratios of 0.92 to 1.22, while
+equal-length copies read 0.999 and 1.012.
 
-1. **Event-loop throughput** (events/sec): a synthetic event mix — future
-   timers, timer churn with cancellation, zero-delay hand-off chains — run
-   on :class:`repro.sim.engine.Simulator`.  Events/sec is a diagnostic;
-   end-to-end host time per simulated second is measured by
-   ``perfbench/run.py``.
-2. **End-to-end run wall-clock**: one representative Figure-9-style cell
-   (accounting config, SYN flood) through the full snapshot driver.
-3. **Sweep wall-clock** at 1/2/4 workers on a small Figure-9 grid, giving
-   the parallel-efficiency numbers for this host.
-
-Timings use the best of N repetitions (minimum is the standard estimator
-for noisy wall-clock measurement); simulated results are deterministic, so
-repetitions only de-noise the clock, never the workload.
+Per workload the report gives the median per-pair ratio of host seconds
+per simulated second (HEAD over REV), the win count (ties count for
+neither side), each side's median and quartiles, and the spin-loop and
+cpu/wall diagnostics.  The gate fails when a child run fails or a
+workload's median ratio is above :data:`MAX_RATIO`.  The same command
+also runs :func:`bench_obs_overhead` in this process, on the checkout
+that runs the command: obs-on must stay within :data:`OBS_BUDGET` of
+obs-off in the median pair, with identical state digests in every
+pair.  The report is written as ``escort-bench/2``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import os
 import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
 import time
-from typing import Callable, Dict
+from pathlib import Path
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
-from repro.sim.engine import Simulator
+SCHEMA = "escort-bench/2"
 
-SCHEMA = "escort-bench/1"
+#: The perfbench workloads (mirrors ``BENCHMARK.json``).
+WORKLOADS = ("static_http", "syn_flood", "defense_mixed", "cluster_crash")
+
+#: The workload seed every run uses.
+SEED = 2
+
+#: Pairs per workload, and obs-off/obs-on pairs of the obs check.
+PAIRS = 10
+
+#: Largest median HEAD/REV ratio of host s per simulated s that passes.
+MAX_RATIO = 1.15
+
+#: Largest fraction the obs-on run may be slower than obs-off.
+OBS_BUDGET = 0.05
+
+#: Simulated seconds per turn of the interleaved obs pair.
+SLICE_S = 0.01
+
+#: A child run that takes longer than this counts as failed.
+CHILD_TIMEOUT_S = 300
+
+CHILD = Path("perfbench") / "child.py"
+
+
+class BenchError(Exception):
+    """The A/B cannot run at all (unknown revision, no benchmark)."""
 
 
 # ----------------------------------------------------------------------
-# Event loop: the synthetic event mix
+# The two trees
 # ----------------------------------------------------------------------
-def _drive_event_mix(sim, n_rounds: int) -> int:
-    """Schedule and run a representative mix; returns events executed.
-
-    Per round: a burst of future timers (the CPU-chunk pattern), a timer
-    that is cancelled before firing (the TCP-retransmit pattern), and a
-    zero-delay hand-off chain (the module-graph pattern).
-    """
-    counter = [0]
-
-    def tick():
-        counter[0] += 1
-
-    def chain(depth):
-        counter[0] += 1
-        if depth:
-            sim.schedule(0, lambda: chain(depth - 1))
-
-    for i in range(n_rounds):
-        base = 10 + (i % 97)
-        for j in range(8):
-            sim.schedule(base + j * 3, tick)
-        victim = sim.schedule(base + 1000, tick)
-        sim.schedule(base, lambda v=victim: v.cancel())
-        sim.schedule(base + 2, lambda: chain(4))
-    sim.run()
-    return sim.events_processed
+def tree_paths(tmp: Path) -> Tuple[Path, Path]:
+    """The REV and HEAD checkouts: equal-length siblings of ``tmp``."""
+    return tmp / "a", tmp / "b"
 
 
-def _best_of(fn: Callable[[], float], reps: int) -> float:
-    return min(fn() for _ in range(max(1, reps)))
+def _git(*args: str) -> str:
+    proc = subprocess.run(["git", *args], capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise BenchError(f"git {' '.join(args)}: {proc.stderr.strip()}")
+    return proc.stdout.strip()
 
 
-def bench_event_loop(n_rounds: int = 20_000, reps: int = 3) -> Dict:
-    """The engine on the synthetic mix."""
-    events = [0]
+@contextlib.contextmanager
+def worktrees(rev: str) -> Iterator[Tuple[Tuple[Path, Path], List[str]]]:
+    """Yield the REV and HEAD worktrees and their commits; remove both."""
+    commits = [_git("rev-parse", "--verify", f"{r}^{{commit}}")
+               for r in (rev, "HEAD")]
+    tmp = Path(tempfile.mkdtemp(prefix="escort-ab-"))
+    trees = tree_paths(tmp)
+    try:
+        for tree, commit in zip(trees, commits):
+            _git("worktree", "add", "--detach", "--quiet", str(tree), commit)
+        yield trees, commits
+    finally:
+        for tree in trees:
+            if tree.exists():
+                subprocess.run(["git", "worktree", "remove", "--force",
+                                str(tree)], capture_output=True)
+        subprocess.run(["git", "worktree", "prune"], capture_output=True)
+        shutil.rmtree(tmp, ignore_errors=True)
 
-    def once() -> float:
-        sim = Simulator()
-        t0 = time.perf_counter()
-        events[0] = _drive_event_mix(sim, n_rounds)
-        return time.perf_counter() - t0
 
-    wall = _best_of(once, reps)
+# ----------------------------------------------------------------------
+# Child runs
+# ----------------------------------------------------------------------
+def parse_child(returncode: int, stdout: str, stderr: str) -> Dict:
+    """One child's result: its JSON line, or ``{"error": ...}``."""
+    if returncode != 0:
+        tail = stderr.strip().splitlines()[-1:] or ["no output"]
+        return {"error": f"exit {returncode}: {tail[0]}"}
+    return json.loads(stdout.strip().splitlines()[-1])
+
+
+def spawn_child(tree: Path, workload: str) -> Dict:
+    """Run ``<tree>/perfbench/child.py`` once on ``tree``'s own source."""
+    scratch = tree / ".perfbench"
+    scratch.mkdir(exist_ok=True)
+    cmd = [sys.executable, str(tree / CHILD), "--workload", workload,
+           "--seed", str(SEED), "--scratch", str(scratch),
+           "--spawned-at", repr(time.monotonic())]
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    try:
+        proc = subprocess.run(cmd, env=env, cwd=tree, capture_output=True,
+                              text=True, timeout=CHILD_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {"error": f"timed out after {CHILD_TIMEOUT_S}s"}
+    return parse_child(proc.returncode, proc.stdout, proc.stderr)
+
+
+def run_pairs(trees: Sequence[Path], workload: str,
+              spawn: Callable[[Path, str], Dict] = spawn_child,
+              pairs: int = PAIRS) -> List[Tuple[Dict, Dict]]:
+    """``pairs`` (REV, HEAD) runs; REV goes first in even pairs."""
+    out = []
+    for i in range(pairs):
+        runs: Dict[int, Dict] = {}
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            runs[side] = spawn(trees[side], workload)
+        out.append((runs[0], runs[1]))
+    return out
+
+
+# ----------------------------------------------------------------------
+# Summary and verdict
+# ----------------------------------------------------------------------
+def host_s_per_sim_s(run: Dict) -> float:
+    """perfbench's headline metric for one child run."""
+    return run["timed_s"] / run["sim_s"]
+
+
+def _percentile(values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile (``q`` in 0..100)."""
+    ordered = sorted(values)
+    return ordered[max(0, math.ceil(len(ordered) * q / 100) - 1)]
+
+
+def _side(runs: Sequence[Dict]) -> Dict:
+    speeds = [host_s_per_sim_s(r) for r in runs]
     return {
-        "events": events[0],
-        "wall_s": round(wall, 4),
-        "events_per_sec": round(events[0] / wall),
+        "median": statistics.median(speeds),
+        "q1": _percentile(speeds, 25),
+        "q3": _percentile(speeds, 75),
+        "spin_ms": statistics.median(r["spin_s"] * 1e3 for r in runs),
+        "cpu_wall": statistics.median(r["cpu_timed_s"] / r["timed_s"]
+                                      for r in runs),
     }
 
 
-# ----------------------------------------------------------------------
-# End-to-end run
-# ----------------------------------------------------------------------
-def bench_end_to_end(clients: int = 8, syn_rate: int = 1000,
-                     warmup_s: float = 0.3, measure_s: float = 1.0,
-                     reps: int = 2) -> Dict:
-    """One representative experiment cell through the snapshot driver."""
-    from repro.snapshot.driver import RunDriver
-    from repro.snapshot.runs import ExperimentRun, reset_ids
+def summarize(pairs: Sequence[Tuple[Dict, Dict]]) -> Dict:
+    """Median HEAD/REV ratio, wins and per-side figures of one workload."""
+    failed = [r["error"] for pair in pairs for r in pair if "error" in r]
+    good = [(a, b) for a, b in pairs if "error" not in a and "error" not in b]
+    out: Dict = {"pairs": len(good), "failed": failed}
+    if good:
+        ratios = [host_s_per_sim_s(b) / host_s_per_sim_s(a) for a, b in good]
+        out.update(
+            ratio=statistics.median(ratios),
+            wins={"head": sum(r < 1 for r in ratios),
+                  "rev": sum(r > 1 for r in ratios)},
+            rev=_side([a for a, _ in good]),
+            head=_side([b for _, b in good]))
+    return out
 
-    stats = {}
 
-    def once() -> float:
-        reset_ids()
-        run = ExperimentRun("accounting", clients=clients,
-                            syn_rate=syn_rate, untrusted_cap=8,
-                            warmup_s=warmup_s, measure_s=measure_s)
-        driver = RunDriver(run)
-        t0 = time.perf_counter()
-        driver.run_all()
-        dt = time.perf_counter() - t0
-        stats["events"] = driver.sim.events_processed
-        stats["queue_health"] = driver.sim.queue_health()
-        return dt
+def failures(report: Dict) -> List[str]:
+    """Why the gate fails; empty when it passes."""
+    out = []
+    for name, w in report["workloads"].items():
+        if w["failed"]:
+            out.append(f"{name}: {len(w['failed'])} child run(s) failed, "
+                       f"first: {w['failed'][0]}")
+        elif w["ratio"] > MAX_RATIO:
+            out.append(f"{name}: median HEAD/REV ratio {w['ratio']:.3f} "
+                       f"exceeds {MAX_RATIO}")
+    obs = report["obs"]
+    if not obs["digests_identical"]:
+        out.append("obs: obs-on digest diverged from obs-off; the "
+                   "observer perturbed the run")
+    if obs["overhead_frac"] > OBS_BUDGET:
+        out.append(f"obs: overhead {obs['overhead_frac']:.1%} exceeds "
+                   f"{OBS_BUDGET:.0%}")
+    return out
 
-    wall = _best_of(once, reps)
-    return {
-        "clients": clients,
-        "syn_rate": syn_rate,
-        "simulated_s": warmup_s + measure_s,
-        "wall_s": round(wall, 4),
-        "events": stats["events"],
-        "events_per_sec": round(stats["events"] / wall),
-        "queue_health": stats["queue_health"],
+
+def format_workload(name: str, w: Dict) -> str:
+    """One line per workload: ratio, wins and each side's spread."""
+    if "ratio" not in w:
+        return f"  {name:14s} no pair completed ({len(w['failed'])} failed)"
+    rev, head = w["rev"], w["head"]
+    failed = f", {len(w['failed'])} failed" if w["failed"] else ""
+    return (f"  {name:14s} ratio {w['ratio']:.3f}  wins head "
+            f"{w['wins']['head']}/rev {w['wins']['rev']} of {w['pairs']}"
+            f"{failed}  rev {rev['median']:.3f} [{rev['q1']:.3f}, "
+            f"{rev['q3']:.3f}]  head {head['median']:.3f} "
+            f"[{head['q1']:.3f}, {head['q3']:.3f}] s/s  spin "
+            f"{rev['spin_ms']:.1f}/{head['spin_ms']:.1f} ms  cpu/wall "
+            f"{rev['cpu_wall']:.3f}/{head['cpu_wall']:.3f}")
+
+
+def run_ab(rev: str) -> Dict:
+    """Run the A/B of ``rev`` against HEAD and the obs check; the report."""
+    print(f"bench --ab {rev}: {PAIRS} alternating pairs per workload, "
+          f"gate at ratio {MAX_RATIO}", flush=True)
+    with worktrees(rev) as (trees, commits):
+        for name, tree, commit in zip((rev, "HEAD"), trees, commits):
+            if not (tree / CHILD).is_file():
+                raise BenchError(f"{name} ({commit[:12]}) has no {CHILD}; "
+                                 f"pick a revision that has the benchmark")
+        for tree in trees:
+            subprocess.run([sys.executable, "-m", "compileall", "-q",
+                            str(tree / "src"), str(tree / "perfbench")],
+                           check=True, stdout=subprocess.DEVNULL)
+        workloads = {}
+        for name in WORKLOADS:
+            workloads[name] = summarize(run_pairs(trees, name))
+            print(format_workload(name, workloads[name]), flush=True)
+    obs = bench_obs_overhead()
+    print(f"  obs overhead   {obs['overhead_frac']:+.1%} (median of "
+          f"{obs['pairs']} pairs, budget {OBS_BUDGET:.0%}); digests "
+          f"{'identical' if obs['digests_identical'] else 'DIVERGED'}")
+    report = {
+        "schema": SCHEMA,
+        "host": {"platform": platform.platform(),
+                 "python": platform.python_version(),
+                 "nproc": len(os.sched_getaffinity(0))},
+        "revs": {"rev": {"name": rev, "commit": commits[0]},
+                 "head": {"name": "HEAD", "commit": commits[1]}},
+        "seed": SEED,
+        "max_ratio": MAX_RATIO,
+        "workloads": workloads,
+        "obs": obs,
     }
+    report["passed"] = not failures(report)
+    return report
 
 
 # ----------------------------------------------------------------------
 # Observability overhead
 # ----------------------------------------------------------------------
-def bench_obs_overhead(clients: int = 8, reps: int = 2,
-                       quick: bool = False) -> Dict:
-    """Events/sec of one adaptive defense cell, obs-off vs obs-on.
+def _obs_pair(obs_dir: str) -> Tuple[float, float, bool]:
+    """One obs-off and one obs-on run of the defense_mixed spec.
 
-    The obs-on leg attaches a full :class:`~repro.obs.session.ObsSession`
-    with a flight-recorder sidecar in a temp directory — the worst case a
-    user can switch on with ``--obs``.  Reports the throughput fraction
-    lost and whether the two legs' state digests matched (they must: the
-    session is a pure observer).  ``python -m repro bench --obs-overhead
-    --obs-budget 0.05`` gates on the fraction.
+    Both machines live in this process and advance in turn, one
+    :data:`SLICE_S` slice of simulated time each, the first side
+    alternating per slice; each keeps its own object-id counters, so each
+    numbers its objects as if it ran alone.  Returns the host seconds of
+    each side and whether their state digests match.
     """
-    import shutil
-    import tempfile
-
     from repro.defense.run import DefenseRun
     from repro.obs import ObsSession
+    from repro.sim.clock import seconds_to_ticks
     from repro.snapshot.driver import RunDriver
-    from repro.snapshot.runs import reset_ids
+    from repro.snapshot.runs import id_counters, set_id_counters
 
-    kw = dict(adaptive=True, seed=1, clients=clients,
-              syn_rate=200, syn_ramp_to=3000, syn_ramp_s=1.0,
-              warmup_s=0.2 if quick else 0.4,
-              measure_s=0.6 if quick else 1.5)
-    stats: Dict = {}
+    driver, ids, wall = {}, {}, {False: 0.0, True: 0.0}
+    for obs in (False, True):
+        driver[obs] = RunDriver(DefenseRun("mixed", adaptive=True, seed=SEED))
+        ids[obs] = id_counters()
+    session = ObsSession(obs_dir).attach(driver[True])
+    order = [False, True]
+    step = seconds_to_ticks(SLICE_S)
+    end = driver[False].end_tick
+    tick = 0
+    while tick < end:
+        tick = min(tick + step, end)
+        for obs in order:
+            set_id_counters(ids[obs])
+            t0 = time.perf_counter()
+            driver[obs].run_to(tick)
+            wall[obs] += time.perf_counter() - t0
+            ids[obs] = id_counters()
+        order.reverse()
+    t0 = time.perf_counter()
+    session.finish()
+    wall[True] += time.perf_counter() - t0
+    digests = [driver[obs].run.digest() for obs in (False, True)]
+    return wall[False], wall[True], digests[0] == digests[1]
 
-    def once(obs: bool) -> float:
-        reset_ids()
-        run = DefenseRun("synflood", **kw)
-        driver = RunDriver(run)
-        session = None
-        obs_dir = None
-        if obs:
-            obs_dir = tempfile.mkdtemp(prefix="bench-obs-")
-            session = ObsSession(obs_dir).attach(driver)
-        t0 = time.perf_counter()
-        driver.run_all()
-        dt = time.perf_counter() - t0
-        key = "on" if obs else "off"
-        stats[f"events_{key}"] = driver.sim.events_processed
-        stats[f"digest_{key}"] = run.digest()
-        if session is not None:
-            session.finish()
-            shutil.rmtree(obs_dir, ignore_errors=True)
-        return dt
 
-    wall_off = _best_of(lambda: once(False), reps)
-    wall_on = _best_of(lambda: once(True), reps)
-    eps_off = stats["events_off"] / wall_off
-    eps_on = stats["events_on"] / wall_on
+def bench_obs_overhead(pairs: int = PAIRS) -> Dict:
+    """Paired obs-off/obs-on runs of the defense_mixed spec, in process.
+
+    The obs-on side attaches a full :class:`~repro.obs.session.ObsSession`
+    with its flight-recorder sidecar, the worst case a user can switch on
+    with ``--obs``.  The two runs of a pair advance in alternating 10 ms
+    slices (:func:`_obs_pair`), so a change in host speed lands on both:
+    on a 2-vCPU host, whole runs one after the other gave medians of 10
+    pair ratios from 0.91 to 1.08.  Reports the median per-pair on/off
+    ratio and whether every pair's two state digests matched (they must:
+    the session is a pure observer).
+    """
+    walls = []
+    with tempfile.TemporaryDirectory(prefix="bench-obs-") as obs_dir:
+        for _ in range(pairs):
+            walls.append(_obs_pair(obs_dir))
+    ratio = statistics.median(on / off for off, on, _ in walls)
     return {
-        "events": stats["events_off"],
-        "baseline_wall_s": round(wall_off, 4),
-        "obs_wall_s": round(wall_on, 4),
-        "baseline_events_per_sec": round(eps_off),
-        "obs_events_per_sec": round(eps_on),
-        "overhead_frac": round(max(0.0, 1.0 - eps_on / eps_off), 4),
-        "digests_identical": stats["digest_off"] == stats["digest_on"],
+        "pairs": pairs,
+        "off_s": statistics.median(off for off, _, _ in walls),
+        "on_s": statistics.median(on for _, on, _ in walls),
+        "ratio": ratio,
+        "overhead_frac": ratio - 1.0,
+        "digests_identical": all(same for _, _, same in walls),
     }
 
 
 # ----------------------------------------------------------------------
-# Sweep scaling
+# Allocation profile
 # ----------------------------------------------------------------------
-def bench_sweep(worker_counts=(1, 2, 4), quick: bool = False) -> Dict:
-    """Figure-9 grid wall-clock at several worker counts."""
-    from repro.experiments.figure9 import run_figure9
-
-    kw = dict(client_counts=(2, 4) if quick else (4, 8, 16),
-              configs=("accounting",) if quick else
-                      ("accounting", "accounting_pd"),
-              syn_rate=500,
-              warmup_s=0.2 if quick else 0.4,
-              measure_s=0.3 if quick else 0.8)
-    n_cells = (len(kw["client_counts"]) * len(kw["configs"]) * 2)
-
-    walls: Dict[str, float] = {}
-    reference = None
-    for workers in worker_counts:
-        t0 = time.perf_counter()
-        result = run_figure9(workers=workers, **kw)
-        walls[str(workers)] = round(time.perf_counter() - t0, 4)
-        blob = json.dumps([result.series, result.syn_stats], sort_keys=True)
-        if reference is None:
-            reference = blob
-        elif blob != reference:
-            raise AssertionError(
-                f"sweep at workers={workers} diverged from serial results")
-    out = {"cells": n_cells, "wall_s": walls,
-           "results_identical_across_worker_counts": True}
-    if "1" in walls and "4" in walls and walls["4"] > 0:
-        out["speedup_4_workers"] = round(walls["1"] / walls["4"], 3)
-    if "1" in walls and "2" in walls and walls["2"] > 0:
-        out["speedup_2_workers"] = round(walls["1"] / walls["2"], 3)
-    return out
-
-
-# ----------------------------------------------------------------------
-# Entry point
-# ----------------------------------------------------------------------
-def run_bench(quick: bool = False, output: str = "BENCH_sim.json",
-              skip_sweep: bool = False,
-              obs_overhead: bool = False) -> Dict:
-    """Run the full suite and write ``BENCH_sim.json``."""
-    report = {
-        "schema": SCHEMA,
-        "quick": bool(quick),
-        "host": {
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "cpu_count": os.cpu_count(),
-        },
-        "event_loop": bench_event_loop(
-            n_rounds=4_000 if quick else 20_000,
-            reps=2 if quick else 3),
-        "end_to_end": bench_end_to_end(
-            clients=4 if quick else 8,
-            warmup_s=0.2 if quick else 0.3,
-            measure_s=0.3 if quick else 1.0,
-            reps=1 if quick else 2),
-    }
-    if obs_overhead:
-        report["obs_overhead"] = bench_obs_overhead(
-            clients=4 if quick else 8,
-            reps=1 if quick else 2, quick=quick)
-    if not skip_sweep:
-        report["sweep"] = bench_sweep(
-            worker_counts=(1, 2) if quick else (1, 2, 4), quick=quick)
-    if output:
-        with open(output, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return report
-
-
 def alloc_profile(clients: int = 4, syn_rate: int = 1000,
                   top: int = 12) -> Dict:
     """Profile allocation sites of one end-to-end run via tracemalloc.
 
     Backs ``python -m repro bench --alloc-profile``.  Runs several times
-    slower than the plain bench (tracemalloc hooks every allocation), so
-    it is an on-demand diagnostic, never part of the gated suite.
+    slower than an untraced run (tracemalloc hooks every allocation), so
+    it is an on-demand diagnostic, never part of the gate.
     """
     import tracemalloc
 
@@ -310,34 +379,4 @@ def format_alloc_profile(profile: Dict) -> str:
     for site in profile["top_sites"]:
         lines.append(f"  {site['size_kib']:>8,.1f}K  {site['count']:>9,}  "
                      f"{site['site']}")
-    return "\n".join(lines)
-
-
-def format_report(report: Dict) -> str:
-    """Human-readable one-screen summary of a bench report."""
-    lines = [f"bench ({report['schema']}, "
-             f"{report['host']['cpu_count']} cpus, "
-             f"python {report['host']['python']})"]
-    ev = report["event_loop"]
-    lines.append(f"  event loop    {ev['events_per_sec']:>12,} ev/s   "
-                 f"({ev['events']:,} events)")
-    e2e = report["end_to_end"]
-    lines.append(f"  end-to-end    {e2e['wall_s']:>10.3f} s     "
-                 f"({e2e['events']:,} events, "
-                 f"{e2e['events_per_sec']:,} ev/s)")
-    obs = report.get("obs_overhead")
-    if obs:
-        match = "identical" if obs["digests_identical"] else "DIVERGED"
-        lines.append(f"  obs overhead  {obs['overhead_frac']:>11.1%}      "
-                     f"({obs['obs_events_per_sec']:,} ev/s on vs "
-                     f"{obs['baseline_events_per_sec']:,} off; "
-                     f"digests {match})")
-    sweep = report.get("sweep")
-    if sweep:
-        per_w = ", ".join(f"{w}w={s:.2f}s"
-                          for w, s in sorted(sweep["wall_s"].items()))
-        extra = ""
-        if "speedup_4_workers" in sweep:
-            extra = f"   (4-worker speedup {sweep['speedup_4_workers']:.2f}x)"
-        lines.append(f"  sweep         {sweep['cells']} cells: {per_w}{extra}")
     return "\n".join(lines)

@@ -474,8 +474,8 @@ class Simulator:
                 f"(= {total}); health={self.queue_health()}")
 
     def queue_health(self) -> dict:
-        """Engine-health counters (``repro bench``'s end-to-end report and
-        the obs session's engine gauges)."""
+        """Engine-health counters (the obs session's engine gauges and the
+        event-ledger breach message)."""
         return {
             "now": self.now,
             "events_processed": self._events_processed,

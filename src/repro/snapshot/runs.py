@@ -36,6 +36,19 @@ __all__ = ["ReplayableRun", "ExperimentRun", "reset_ids", "run_from_spec"]
 SETTLE_S = 0.01
 
 
+def _id_classes() -> Tuple[type, ...]:
+    """The classes whose ``_next_id`` counter numbers a machine's objects."""
+    from repro.sim.cpu import SimThread
+    from repro.kernel.owner import Owner
+    from repro.kernel.domain import HeapAllocation
+    from repro.kernel.memory import Page
+    from repro.kernel.iobuffer import IOBuffer
+    from repro.kernel.events import KernelEvent, Semaphore
+
+    return (SimThread, Owner, HeapAllocation, Page, IOBuffer, KernelEvent,
+            Semaphore)
+
+
 def reset_ids() -> None:
     """Reset every global object-id counter to its boot value.
 
@@ -45,16 +58,23 @@ def reset_ids() -> None:
     building any machine that will be digest-compared or checkpointed —
     :class:`~repro.snapshot.driver.RunDriver` does it automatically.
     """
-    from repro.sim.cpu import SimThread
-    from repro.kernel.owner import Owner
-    from repro.kernel.domain import HeapAllocation
-    from repro.kernel.memory import Page
-    from repro.kernel.iobuffer import IOBuffer
-    from repro.kernel.events import KernelEvent, Semaphore
-
-    for cls in (SimThread, Owner, HeapAllocation, Page, IOBuffer,
-                KernelEvent, Semaphore):
+    for cls in _id_classes():
         cls._next_id = 1
+
+
+def id_counters() -> Tuple[int, ...]:
+    """Every global object-id counter's next value.
+
+    With :func:`set_id_counters`, two machines built in one process can
+    advance in turn, each numbering its objects as if it ran alone.
+    """
+    return tuple(cls._next_id for cls in _id_classes())
+
+
+def set_id_counters(values: Tuple[int, ...]) -> None:
+    """Restore counters saved by :func:`id_counters`."""
+    for cls, value in zip(_id_classes(), values):
+        cls._next_id = value
 
 
 def rng_fingerprint(rng) -> str:

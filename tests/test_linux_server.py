@@ -68,3 +68,29 @@ def test_linux_work_serializes(sim):
     bed.sim.run(until=seconds_to_ticks(0.01))
     (_, ta), (_, tb) = order
     assert tb - ta == 1000 * 2  # serialized: 1000 cycles apart
+
+
+def test_half_open_count_matches_a_rescan_after_every_syn(sim):
+    """The backlog count kept on state changes equals a full rescan."""
+    from repro.net.packet import FLAG_ACK, FLAG_SYN
+
+    bed = Testbed.linux()
+    bed.add_clients(8, document="/doc-1")
+    bed.add_syn_attacker(rate_per_second=1000)
+    server = bed.server
+    process = server._process
+    counts = []
+
+    def process_and_rescan(dgram, seg):
+        process(dgram, seg)
+        if seg.flags & FLAG_SYN and not seg.flags & FLAG_ACK:
+            rescan = sum(1 for c in server._conns.values()
+                         if c.engine.half_open)
+            assert server.half_open == rescan
+            counts.append(rescan)
+
+    server._process = process_and_rescan
+    bed.run(warmup_s=0.5, measure_s=0.5)
+    assert len(counts) == server.syns_seen
+    assert server.syns_dropped_backlog > 0
+    assert max(counts) == server.LISTEN_BACKLOG
